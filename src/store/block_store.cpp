@@ -147,7 +147,12 @@ PutResult BlockStore::Put(util::ByteSpan raw) {
 }
 
 std::vector<PutResult> BlockStore::PutBatch(
-    std::span<const util::ByteSpan> blocks) {
+    std::span<const util::ByteSpan> blocks,
+    std::span<const util::ByteSpan> stored) {
+  if (!stored.empty() && stored.size() != blocks.size()) {
+    throw std::invalid_argument(
+        "PutBatch: expected one stored form per block or none");
+  }
   std::vector<PutResult> results(blocks.size());
   if (blocks.empty()) return results;
 
@@ -222,17 +227,18 @@ std::vector<PutResult> BlockStore::PutBatch(
   }
 
   // Stage 3: compress only the misses, in parallel across the whole batch
-  // (work steals across shards). Codecs are stateless; each miss writes
-  // only its own slot.
-  struct StagedPayload {
-    util::Bytes payload;
-    bool compressed = false;
-  };
-  std::vector<StagedPayload> staged(miss_indices.size());
+  // (work steals across shards). A miss that came with its stored form
+  // takes those bytes instead of encoding again. Codecs are stateless; each
+  // miss writes only its own slot.
+  std::vector<StoredPayload> staged(miss_indices.size());
   ForEachIngest(miss_indices.size(), [&](std::size_t j) {
-    const util::ByteSpan raw = blocks[miss_indices[j]];
+    const std::size_t i = miss_indices[j];
+    const util::ByteSpan raw = blocks[i];
     if (config_.codec != compress::CodecId::kNull) {
-      util::Bytes compressed = codec_->Compress(raw);
+      util::Bytes compressed =
+          stored.empty() || stored[i].empty()
+              ? codec_->Compress(raw)
+              : util::Bytes(stored[i].begin(), stored[i].end());
       if (WorthKeeping(compressed.size(), raw.size())) {
         staged[j].payload = std::move(compressed);
         staged[j].compressed = true;
@@ -280,7 +286,7 @@ std::vector<PutResult> BlockStore::PutBatch(
           shard.stats.logical_referenced_bytes += it->second.logical_size;
           results[i] = {digest, true, it->second.logical_size, 0};
         } else {
-          StagedPayload& payload = staged[next_miss];
+          StoredPayload& payload = staged[next_miss];
           Entry entry;
           entry.logical_size = static_cast<std::uint32_t>(blocks[i].size());
           entry.refcount = 1;
@@ -402,36 +408,71 @@ util::Bytes BlockStore::Get(const util::Digest& digest) const {
   return std::move(GetBatch(one)[0]);
 }
 
-util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
-  // Snapshot the stored payload under the shard lock, decompress outside it.
-  // No ARC interaction at all: the rollback path this serves must not
-  // disturb cache state or read counters.
-  util::Bytes payload;
+BlockStore::LoadStatus BlockStore::LoadVerified(const util::Digest& digest,
+                                                StoredPayload* stored,
+                                                util::Bytes* raw) const {
+  // Snapshot the stored payload under the shard lock, decode outside it, so
+  // callers can run concurrently with ingest.
   std::uint32_t logical_size = 0;
-  bool compressed = false;
   {
     const Shard& shard = *shards_[ShardOf(digest)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.entries.find(digest);
-    if (it == shard.entries.end()) throw NoSuchBlockError(digest);
-    payload = it->second.payload;
+    if (it == shard.entries.end()) return LoadStatus::kMissing;
+    stored->payload = it->second.payload;
+    stored->compressed = it->second.compressed;
     logical_size = it->second.logical_size;
-    compressed = it->second.compressed;
   }
-  util::Bytes raw;
-  if (compressed) {
+  if (stored->compressed) {
     try {
-      raw = codec_->Decompress(payload, logical_size);
+      *raw = codec_->Decompress(stored->payload, logical_size);
     } catch (const std::runtime_error&) {
-      throw BlockCorruptionError(digest);
+      return LoadStatus::kCorrupt;  // corruption broke the compressed framing
     }
-  } else {
-    raw = std::move(payload);
   }
-  if (config_.dedup && ComputeDigest(raw) != digest) {
-    throw BlockCorruptionError(digest);
+  const util::Bytes& decoded = stored->compressed ? *raw : stored->payload;
+  if (config_.dedup && ComputeDigest(decoded) != digest) {
+    return LoadStatus::kCorrupt;
   }
-  return raw;
+  return LoadStatus::kOk;
+}
+
+util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
+  // No ARC interaction at all: the rollback path this serves must not
+  // disturb cache state or read counters.
+  StoredPayload stored;
+  util::Bytes raw;
+  switch (LoadVerified(digest, &stored, &raw)) {
+    case LoadStatus::kMissing:
+      throw NoSuchBlockError(digest);
+    case LoadStatus::kCorrupt:
+      throw BlockCorruptionError(digest);
+    case LoadStatus::kOk:
+      break;
+  }
+  return stored.compressed ? std::move(raw) : std::move(stored.payload);
+}
+
+std::vector<StoredPayload> BlockStore::GetStoredBatch(
+    std::span<const util::Digest> digests) const {
+  // Every block loads independently, so slots fill in parallel; errors are
+  // raised afterwards in input order, unknown digests first, so the throw
+  // is the same at any thread count.
+  std::vector<StoredPayload> results(digests.size());
+  std::vector<LoadStatus> status(digests.size());
+  ForEachRead(digests.size(), [&](std::size_t i) {
+    util::Bytes raw;
+    status[i] = LoadVerified(digests[i], &results[i], &raw);
+  });
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    if (status[i] == LoadStatus::kMissing) throw NoSuchBlockError(digests[i]);
+  }
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    if (status[i] == LoadStatus::kCorrupt) {
+      throw BlockCorruptionError(digests[i]);
+    }
+  }
+  return results;
 }
 
 std::vector<util::Bytes> BlockStore::GetBatch(
@@ -799,33 +840,12 @@ std::uint32_t BlockStore::LogicalSize(const util::Digest& digest) const {
 }
 
 bool BlockStore::Verify(const util::Digest& digest) const {
-  // Snapshot the stored payload under the shard lock so scrubs can run
-  // concurrently with ingest (a scrub must observe a coherent copy of the
-  // stored bytes, never a cached one).
-  util::Bytes payload;
-  std::uint32_t logical_size = 0;
-  bool compressed = false;
-  {
-    const Shard& shard = *shards_[ShardOf(digest)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(digest);
-    if (it == shard.entries.end()) return false;
-    if (!config_.dedup) return true;  // synthetic digests carry no hash
-    payload = it->second.payload;
-    logical_size = it->second.logical_size;
-    compressed = it->second.compressed;
-  }
+  // A scrub must observe a coherent copy of the stored bytes, never a
+  // cached one — LoadVerified bypasses the ARC.
+  if (!config_.dedup) return Contains(digest);  // synthetic digests: no hash
+  StoredPayload stored;
   util::Bytes raw;
-  if (compressed) {
-    try {
-      raw = codec_->Decompress(payload, logical_size);
-    } catch (const std::runtime_error&) {
-      return false;  // corruption broke the compressed framing
-    }
-  } else {
-    raw = std::move(payload);
-  }
-  return ComputeDigest(raw) == digest;
+  return LoadVerified(digest, &stored, &raw) == LoadStatus::kOk;
 }
 
 std::vector<std::uint8_t> BlockStore::VerifyBatch(

@@ -17,11 +17,13 @@
 // by digest shard, resolves digests against each shard's DDT in per-shard
 // ordered passes — a hit bumps the refcount and costs no new space —
 // compresses the misses in parallel (kept only if it saves at least 1/8th,
-// ZFS's rule), then allocates extents and inserts DDT entries in per-shard
-// ordered commit passes. Because each shard's mutation replays the serial
-// Lookup/Insert sequence in input order *within that shard*, results are
-// bit-identical to a serial loop of single-block Puts at any thread count
-// (for a fixed shard count).
+// ZFS's rule; a miss that arrives with its stored form, as a received
+// stream's compressed payload does, is not encoded again), then allocates
+// extents and inserts DDT entries in per-shard ordered commit passes.
+// Because each shard's mutation replays the serial Lookup/Insert sequence
+// in input order *within that shard*, results are bit-identical to a
+// serial loop of single-block Puts at any thread count (for a fixed shard
+// count).
 //
 // Read path (batch-first, mirroring ingest): GetBatch classifies every
 // requested digest against the byte-budgeted ARC stripe of its shard in
@@ -196,6 +198,14 @@ struct BlockStoreConfig {
   std::uint64_t capacity_bytes = 0;
 };
 
+/// One block exactly as the store keeps it: the codec-compressed bytes when
+/// `compressed`, the raw payload otherwise. GetStoredBatch returns these and
+/// Volume::Send ships them verbatim (ZFS `send -c`).
+struct StoredPayload {
+  util::Bytes payload;
+  bool compressed = false;
+};
+
 struct PutResult {
   util::Digest digest;
   bool deduplicated = false;       // true: refcount bump, no new space
@@ -309,7 +319,17 @@ class BlockStore {
   /// returned in input order. Safe to call concurrently with other batches;
   /// concurrent batches racing the same digest resolve to one allocation
   /// plus refcount bumps (content addressing makes the winner irrelevant).
-  std::vector<PutResult> PutBatch(std::span<const util::ByteSpan> blocks);
+  ///
+  /// `stored`, when non-empty, holds one span per block: the block's
+  /// compressed form under this store's codec, or an empty span for none.
+  /// A dedup miss with a stored form skips stage 3's Compress and keeps
+  /// those bytes under the same keep-if-it-saves-1/8 rule; the digest is
+  /// still computed from `blocks`. The caller guarantees that each stored
+  /// form decodes to its raw block (Receive decodes it while validating).
+  /// Throws std::invalid_argument when `stored` is non-empty but not the
+  /// size of `blocks`.
+  std::vector<PutResult> PutBatch(std::span<const util::ByteSpan> blocks,
+                                  std::span<const util::ByteSpan> stored = {});
 
   /// Adds one reference to an existing block (snapshot / clone paths).
   /// Throws NoSuchBlockError for unknown digests.
@@ -330,6 +350,14 @@ class BlockStore {
   /// NoSuchBlockError for unknown digests and BlockCorruptionError when the
   /// stored payload no longer matches its digest.
   util::Bytes GetUncached(const util::Digest& digest) const;
+
+  /// Stored forms of `digests` in input order, for senders that ship blocks
+  /// as stored. Each block is decoded and re-hashed (dedup mode) on the read
+  /// pool before it is returned, bypassing the ARC like GetUncached. Throws
+  /// NoSuchBlockError for the first unknown digest, else BlockCorruptionError
+  /// for the first corrupt block, both in input order as GetBatch does.
+  std::vector<StoredPayload> GetStoredBatch(
+      std::span<const util::Digest> digests) const;
 
   /// Batch-first read path: returns the decompressed payloads of `digests`
   /// in input order, bit-identical to a serial loop of Get calls at any
@@ -524,7 +552,8 @@ class BlockStore {
 
   /// Runs fn(i) for i in [0, count) on the worker pool when the read side
   /// is parallel (read.threads != 1), inline otherwise. Exposed for the
-  /// volume layer's read-side stages (Send payload compression).
+  /// volume layer's read-side stages (Send record checksums, Receive
+  /// payload decoding).
   void ForEachRead(std::size_t count,
                    const std::function<void(std::size_t)>& fn) const;
 
@@ -570,6 +599,17 @@ class BlockStore {
   std::uint64_t GlobalOffset(std::size_t shard, std::uint64_t local) const {
     return local * shards_.size() + shard * kSectorBytes;
   }
+
+  /// Outcome of LoadVerified.
+  enum class LoadStatus { kOk, kMissing, kCorrupt };
+  /// Shared load-and-verify step of Verify, GetUncached and GetStoredBatch:
+  /// copies the stored entry of `digest` under its shard lock, then decodes
+  /// it and (dedup mode) re-hashes it outside the lock, never touching the
+  /// ARC. On kOk, `*stored` holds the entry as stored and `*raw` the decoded
+  /// payload of a compressed entry (left empty for a raw one, whose payload
+  /// is `stored->payload`). Broken compressed framing is kCorrupt.
+  LoadStatus LoadVerified(const util::Digest& digest, StoredPayload* stored,
+                          util::Bytes* raw) const;
 
   /// Runs fn(i) for i in [0, count) on the worker pool, or inline when the
   /// ingest side is serial or the batch is trivial.

@@ -1,7 +1,7 @@
 // Volume persistence: Serialize() / Deserialize() members of zvol::Volume.
 //
 // Image layout (all little-endian, SHA-256 trailer over the body):
-//   magic "SQVL", version
+//   magic "SQVC", version
 //   config: block_size, codec, dedup, fast_hash
 //   next snapshot id
 //   block section: count, then per unique digest the raw payload

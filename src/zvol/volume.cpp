@@ -12,6 +12,11 @@ namespace {
 
 using DigestSet = std::unordered_set<util::Digest, util::DigestHasher>;
 
+constexpr const char* kUndecodableMessage =
+    "receive: undecodable block payload";
+constexpr const char* kWrongDigestMessage =
+    "receive: carried payload does not match its record digest";
+
 DigestSet ReachableDigests(const FileTable& table) {
   DigestSet set;
   for (const auto& [name, meta] : table) {
@@ -56,8 +61,9 @@ class Volume::StoreTxn {
   }
 
   std::vector<store::PutResult> PutBatch(
-      std::span<const util::ByteSpan> blocks) {
-    std::vector<store::PutResult> results = store_.PutBatch(blocks);
+      std::span<const util::ByteSpan> blocks,
+      std::span<const util::ByteSpan> stored) {
+    std::vector<store::PutResult> results = store_.PutBatch(blocks, stored);
     // PutBatch is atomic (it unwinds itself on crash/no-space before
     // throwing), so the whole batch logs only on success.
     for (const store::PutResult& result : results) {
@@ -663,10 +669,10 @@ SendStream Volume::Send(const std::string& from_name,
     }
   }
 
-  // Materialize carried payloads in one pass: a single cache-aware GetBatch
-  // fetches every block (parallel decompress, ARC hits for recently read
-  // blocks), then the wire-format compression — applying the store's
-  // keep-if-it-saves-1/8 rule — runs in parallel on the worker pool.
+  // Materialize carried payloads in one pass, as stored (send -c): the
+  // store decodes and re-hashes every block on the read pool and throws on
+  // corruption, so a damaged block is never shipped, and the compressed
+  // bytes go on the wire without being encoded again.
   std::vector<BlockRecord*> payload_recs;
   std::vector<util::Digest> payload_digests;
   for (FileRecord& f : stream.files) {
@@ -676,26 +682,19 @@ SendStream Volume::Send(const std::string& from_name,
       payload_digests.push_back(b.digest);
     }
   }
-  const std::vector<util::Bytes> raws = store_.GetBatch(payload_digests);
-  const compress::Codec* codec = &store_.codec();
+  std::vector<store::StoredPayload> stored =
+      store_.GetStoredBatch(payload_digests);
   store_.ForEachRead(payload_recs.size(), [&](std::size_t k) {
     BlockRecord& rec = *payload_recs[k];
-    const util::Bytes& raw = raws[k];
-    util::Bytes compressed = codec->Compress(raw);
-    if (config_.codec != compress::CodecId::kNull &&
-        compressed.size() + raw.size() / 8 <= raw.size()) {
-      rec.payload = std::move(compressed);
-      rec.payload_compressed = true;
-    } else {
-      rec.payload = raw;
-    }
+    rec.payload = std::move(stored[k].payload);
+    rec.payload_compressed = stored[k].compressed;
     rec.payload_checksum = SendStream::PayloadChecksum(rec.payload);
   });
   return stream;
 }
 
 std::vector<Volume::CarriedPayload> Volume::ValidateStream(
-    const SendStream& stream) const {
+    const SendStream& stream, bool check_digests) const {
   const compress::Codec* codec = compress::FindCodec(stream.codec);
   if (codec == nullptr) {
     throw StreamCorruptError("receive: unknown codec " + stream.codec);
@@ -711,7 +710,7 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
   // so the error is identical at any thread count.
   struct Slot {
     CarriedPayload carried;
-    std::uint8_t bad = 0;
+    const char* damage = nullptr;  // error message for a rejected payload
   };
   std::vector<Slot> slots;
   for (const FileRecord& f : stream.files) {
@@ -738,9 +737,12 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
           SendStream::PayloadChecksum(b.payload) != b.payload_checksum) {
         throw StreamMismatchError("receive: record checksum mismatch");
       }
-      slots.push_back({{&b, {}}, 0});
+      slots.push_back({{&b, {}, {}}});
     }
   }
+  // A compressed payload in this volume's own codec is exactly what the
+  // store would keep, so it rides along as the block's stored form.
+  const bool same_codec = codec == &store_.codec();
   // ForEachIngest is non-const (it may touch the pool); replicate its inline
   // fallback here through the store's read-side helper, which serves the
   // same pool. Decompression is pure per-slot CPU either way.
@@ -751,9 +753,10 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
       try {
         slot.carried.raw = codec->Decompress(b.payload, b.logical_size);
       } catch (const std::runtime_error&) {
-        slot.bad = 1;  // damage broke the compressed framing
+        slot.damage = kUndecodableMessage;  // broken compressed framing
         return;
       }
+      if (same_codec) slot.carried.stored = b.payload;
     } else {
       slot.carried.raw = b.payload;
     }
@@ -761,13 +764,14 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
     // or all zeros (holes are never carried as payloads).
     if (slot.carried.raw.size() != b.logical_size || slot.carried.raw.empty() ||
         util::IsAllZero(slot.carried.raw)) {
-      slot.bad = 1;
+      slot.damage = kUndecodableMessage;
+    } else if (check_digests && config_.dedup &&
+               store_.ComputeDigest(slot.carried.raw) != b.digest) {
+      slot.damage = kWrongDigestMessage;
     }
   });
   for (const Slot& slot : slots) {
-    if (slot.bad) {
-      throw StreamCorruptError("receive: undecodable block payload");
-    }
+    if (slot.damage != nullptr) throw StreamCorruptError(slot.damage);
   }
   std::vector<CarriedPayload> carried;
   carried.reserve(slots.size());
@@ -794,9 +798,10 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       store_.Unref(digest);
     }
   };
-  const auto do_put_batch = [&](std::span<const util::ByteSpan> payloads) {
-    return txn != nullptr ? txn->PutBatch(payloads)
-                          : store_.PutBatch(payloads);
+  const auto do_put_batch = [&](std::span<const util::ByteSpan> payloads,
+                                 std::span<const util::ByteSpan> stored) {
+    return txn != nullptr ? txn->PutBatch(payloads, stored)
+                          : store_.PutBatch(payloads, stored);
   };
   // Volume-level crash sites fire only in transactional mode with an
   // injector armed (a capacity alone arms the txn, not the crash schedule).
@@ -861,24 +866,34 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       }
     }
 
-    // Batch-put this file's carried payloads (parallel hash + compress,
-    // ordered commit), then install pointers in record order — a later
-    // record may reference the digest a carried payload just inserted.
+    // Batch-put this file's carried payloads with their stored forms
+    // (parallel hash, compress only what has no stored form, ordered
+    // commit), then install pointers in record order — a later record may
+    // reference the digest a carried payload just inserted.
     const std::size_t file_carried = static_cast<std::size_t>(
         std::count_if(f.blocks.begin(), f.blocks.end(),
                       [](const BlockRecord& b) { return b.has_payload; }));
     std::vector<util::ByteSpan> payloads;
+    std::vector<util::ByteSpan> stored;
     payloads.reserve(file_carried);
+    stored.reserve(file_carried);
     for (std::size_t k = 0; k < file_carried; ++k) {
       payloads.emplace_back(carried[next_carried + k].raw);
+      stored.push_back(carried[next_carried + k].stored);
     }
-    const std::vector<store::PutResult> puts = do_put_batch(payloads);
+    const std::vector<store::PutResult> puts = do_put_batch(payloads, stored);
     std::size_t next_put = 0;
     for (const BlockRecord& b : f.blocks) {
       if (b.hole) continue;
       BlockPtr& ptr = meta->blocks[b.index];
       if (b.has_payload) {
         const store::PutResult& put = puts[next_put++];
+        // The store hashed the payload itself; a record whose payload does
+        // not hash to its digest would make this table diverge from the
+        // sender's. Synthetic digests (dedup off) name no content.
+        if (config_.dedup && put.digest != b.digest) {
+          throw StreamCorruptError(kWrongDigestMessage);
+        }
         ptr = BlockPtr{false, put.digest, put.logical_size};
       } else {
         if (!store_.Contains(b.digest)) {
@@ -957,7 +972,8 @@ void Volume::Receive(const SendStream& stream) {
     throw StreamMismatchError("receive: full stream into non-empty volume");
   }
 
-  std::vector<CarriedPayload> carried = ValidateStream(stream);
+  std::vector<CarriedPayload> carried =
+      ValidateStream(stream, /*check_digests=*/false);
   CommitReceive(stream, carried);
 }
 
@@ -968,10 +984,14 @@ void Volume::ReceiveFull(const SendStream& stream) {
   if (stream.block_size != config_.block_size) {
     throw StreamMismatchError("receive: block size mismatch");
   }
-  // Validate the stream in full — shape, checksums, payload decode — BEFORE
-  // dropping anything: a mismatched or damaged stream must leave the volume
-  // untouched (previously the drop ran first and a bad stream wiped it).
-  std::vector<CarriedPayload> carried = ValidateStream(stream);
+  // Validate the stream in full — shape, checksums, payload decode and
+  // digests — BEFORE dropping anything: a mismatched or damaged stream must
+  // leave the volume untouched (previously the drop ran first and a bad
+  // stream wiped it). Receive leaves the digest check to the apply, which
+  // hashes every payload anyway and rolls back when transactional; here
+  // the drop precedes the apply, so the payloads are hashed up front.
+  std::vector<CarriedPayload> carried =
+      ValidateStream(stream, /*check_digests=*/true);
 
   const Snapshot* latest = LatestSnapshot();
   if (faults_ != nullptr) {

@@ -314,7 +314,15 @@ class Volume {
   /// Incremental stream between two held snapshots (`from_name` empty =>
   /// full stream from scratch). Payloads are carried only for blocks not
   /// reachable from `from` — the receiver, holding `from`, already stores
-  /// every other block (Squirrel's replication invariant).
+  /// every other block (Squirrel's replication invariant). Each payload is
+  /// shipped as stored (`zfs send -c`): the compressed bytes when the store
+  /// kept a compressed copy, raw otherwise, never encoded again. Every
+  /// carried block is decoded and re-hashed first (BlockStore::
+  /// GetStoredBatch), so Send throws store::BlockCorruptionError rather than
+  /// ship a damaged block. A receiver in the same codec keeps the
+  /// compressed bytes as they arrive; every dedup receiver hashes each
+  /// payload and rejects a stream whose payload does not match its record
+  /// digest.
   SendStream Send(const std::string& from_name, const std::string& to_name) const;
 
   /// Applies a stream. For an incremental stream the volume's latest
@@ -331,12 +339,17 @@ class Volume {
   /// and re-delivering a stream whose `to` snapshot already landed is an
   /// idempotent no-op. Without an injector the non-staged legacy path runs,
   /// bit-identical to previous behaviour.
+  ///
+  /// Damage found while validating leaves the volume untouched. A carried
+  /// payload that does not hash to its record digest is found during the
+  /// apply, where PutBatch hashes it; it throws StreamCorruptError, and the
+  /// volume is unchanged only in the transactional mode.
   void Receive(const SendStream& stream);
 
   /// Drops all state and applies a full stream (the "node offline for more
   /// than n days" recovery path). The stream is fully validated — shape,
-  /// checksums, payload decode — *before* anything is dropped, so a
-  /// mismatched or damaged stream leaves the volume untouched.
+  /// checksums, payload decode, payload digests — *before* anything is
+  /// dropped, so a mismatched or damaged stream leaves the volume untouched.
   void ReceiveFull(const SendStream& stream);
 
   // --- persistence -----------------------------------------------------------
@@ -466,10 +479,14 @@ class Volume {
  private:
   class StoreTxn;
   /// One validated, decompressed carried payload of a stream, in stream
-  /// order (ValidateStream output, ApplyStreamToTable input).
+  /// order (ValidateStream output, ApplyStreamToTable input). `stored` views
+  /// the record's compressed bytes when the stream's codec is this volume's
+  /// (PutBatch keeps them instead of encoding `raw` again); it is empty for
+  /// uncompressed records and foreign-codec streams.
   struct CarriedPayload {
     const BlockRecord* rec = nullptr;
     util::Bytes raw;
+    util::ByteSpan stored;
   };
 
   void ReleaseTable(const FileTable& table);
@@ -479,10 +496,15 @@ class Volume {
   /// BlockStore::PutBatch (parallel hash + compress, ordered commit).
   FileMeta IngestSource(const util::DataSource& data);
   /// Validate-before-mutate stage of Receive: checks stream structure and
-  /// record checksums and decompresses every carried payload, touching no
-  /// table or store state. Throws StreamCorruptError / StreamMismatchError
-  /// on damage; on success the returned payloads feed ApplyStreamToTable.
-  std::vector<CarriedPayload> ValidateStream(const SendStream& stream) const;
+  /// record checksums and decompresses every carried payload (rejecting
+  /// wrong-length, empty and all-zero ones), touching no table or store
+  /// state. With `check_digests` (dedup mode) it also hashes every payload
+  /// against its record digest; otherwise ApplyStreamToTable makes that
+  /// check on the digests PutBatch computes. Throws StreamCorruptError /
+  /// StreamMismatchError on damage; on success the returned payloads feed
+  /// ApplyStreamToTable.
+  std::vector<CarriedPayload> ValidateStream(const SendStream& stream,
+                                             bool check_digests) const;
   /// Applies a validated stream to `table`. With `txn` set, every store
   /// operation is routed through the undo log (transactional mode) and the
   /// volume crash sites fire; with `txn == nullptr` this is the legacy

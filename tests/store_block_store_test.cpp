@@ -154,5 +154,84 @@ TEST(BlockStore, DiskOffsetsAreDistinct) {
   EXPECT_EQ(store.PhysicalSize(a.digest), 4096u);
 }
 
+TEST(BlockStore, GetStoredBatchReturnsStoredFormsWithoutTouchingTheArc) {
+  BlockStore store({.codec = compress::CodecId::kGzip6,
+                    .dedup = true,
+                    .read = {.cache_bytes = 1 << 20}});
+  const Bytes text = TextBlock(4096, 20);
+  const Bytes random = RandomBlock(4096, 21);
+  const PutResult a = store.Put(text);
+  const PutResult b = store.Put(random);
+  const util::Digest digests[] = {a.digest, b.digest};
+  const std::vector<StoredPayload> stored = store.GetStoredBatch(digests);
+  ASSERT_EQ(stored.size(), 2u);
+  EXPECT_TRUE(stored[0].compressed);
+  EXPECT_EQ(util::AlignUp(stored[0].payload.size(), kSectorBytes),
+            store.PhysicalSize(a.digest));
+  EXPECT_EQ(store.codec().Decompress(stored[0].payload, text.size()), text);
+  EXPECT_FALSE(stored[1].compressed);  // incompressible: kept raw
+  EXPECT_EQ(stored[1].payload, random);
+  const ReadStats reads = store.read_stats();
+  EXPECT_EQ(reads.blocks_requested, 0u);
+  EXPECT_EQ(reads.cached_bytes, 0u);
+}
+
+TEST(BlockStore, GetStoredBatchThrowsLikeGetBatch) {
+  BlockStore store({.codec = compress::CodecId::kGzip6, .dedup = true});
+  const PutResult a = store.Put(TextBlock(4096, 22));
+  const PutResult b = store.Put(TextBlock(4096, 23));
+  ASSERT_TRUE(store.CorruptPayloadForTesting(b.digest));
+  const util::Digest unknown = util::HashBlock(TextBlock(4096, 24));
+
+  // An unknown digest wins over a corrupt block that precedes it.
+  const util::Digest missing_last[] = {a.digest, b.digest, unknown};
+  EXPECT_THROW(store.GetStoredBatch(missing_last), NoSuchBlockError);
+  EXPECT_THROW(store.GetBatch(missing_last), NoSuchBlockError);
+
+  const util::Digest corrupt[] = {a.digest, b.digest};
+  try {
+    store.GetStoredBatch(corrupt);
+    ADD_FAILURE() << "corrupt block returned";
+  } catch (const BlockCorruptionError& e) {
+    EXPECT_EQ(e.digest(), b.digest);
+  }
+  EXPECT_THROW(store.GetBatch(corrupt), BlockCorruptionError);
+}
+
+TEST(BlockStore, PutBatchKeepsStoredFormsInsteadOfEncoding) {
+  const BlockStoreConfig config{.codec = compress::CodecId::kGzip6,
+                                .dedup = true};
+  BlockStore sender(config);
+  const Bytes text = TextBlock(4096, 25);
+  const Bytes random = RandomBlock(4096, 26);
+  const util::Digest digests[] = {sender.Put(text).digest,
+                                  sender.Put(random).digest};
+  const std::vector<StoredPayload> stored = sender.GetStoredBatch(digests);
+
+  // The same blocks put from raw and put with their stored forms land
+  // byte-identically: same stats, sizes and offsets.
+  BlockStore from_raw(config);
+  BlockStore from_stored(config);
+  const util::ByteSpan raws[] = {text, random};
+  const util::ByteSpan forms[] = {
+      stored[0].payload,
+      util::ByteSpan{}};  // raw-stored block: no stored form
+  const std::vector<PutResult> plain = from_raw.PutBatch(raws);
+  const std::vector<PutResult> kept = from_stored.PutBatch(raws, forms);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(kept[i].digest, plain[i].digest);
+    EXPECT_EQ(kept[i].physical_size, plain[i].physical_size);
+    EXPECT_EQ(from_stored.DiskOffset(digests[i]),
+              from_raw.DiskOffset(digests[i]));
+  }
+  EXPECT_EQ(from_stored.stats().physical_data_bytes,
+            from_raw.stats().physical_data_bytes);
+  EXPECT_EQ(from_stored.Get(digests[0]), text);
+  EXPECT_TRUE(from_stored.Verify(digests[0]));
+
+  const util::ByteSpan too_few[] = {stored[0].payload};
+  EXPECT_THROW(from_stored.PutBatch(raws, too_few), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace squirrel::store

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "compress/codec.h"
+#include "store_invariants.h"
+#include "util/fault_injector.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "zvol/send_stream.h"
@@ -31,6 +34,68 @@ Bytes RandomBytes(std::size_t size, std::uint64_t seed) {
 
 VolumeConfig SmallConfig() {
   return VolumeConfig{.block_size = 4096, .codec = compress::CodecId::kGzip6, .dedup = true};
+}
+
+/// 4 KiB blocks cycling text, random and text: streams of it carry both
+/// compressed payloads and (incompressible) raw ones.
+Bytes MixedBlocks(std::size_t blocks, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Bytes content(blocks * 4096);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    util::MutableByteSpan chunk(content.data() + b * 4096, 4096);
+    if (b % 3 == 1) {
+      rng.Fill(chunk);
+      continue;
+    }
+    for (auto& byte : chunk) byte = static_cast<util::Byte>('a' + rng.Below(4));
+  }
+  return content;
+}
+
+/// `stream` with every carried payload decompressed and its record checksum
+/// restamped: what a sender that re-encodes nothing on the wire would ship.
+SendStream Decompressed(SendStream stream) {
+  const compress::Codec* codec = compress::FindCodec(stream.codec);
+  for (FileRecord& f : stream.files) {
+    for (BlockRecord& b : f.blocks) {
+      if (!b.payload_compressed) continue;
+      b.payload = codec->Decompress(b.payload, b.logical_size);
+      b.payload_compressed = false;
+      b.payload_checksum = SendStream::PayloadChecksum(b.payload);
+    }
+  }
+  return stream;
+}
+
+/// Swaps the payloads of the first two carried records and restamps their
+/// checksums: every record still validates, but each payload hashes to the
+/// other record's digest.
+void SwapFirstTwoPayloads(SendStream& stream) {
+  std::vector<BlockRecord*> carried;
+  for (FileRecord& f : stream.files) {
+    for (BlockRecord& b : f.blocks) {
+      if (b.has_payload) carried.push_back(&b);
+    }
+  }
+  ASSERT_GE(carried.size(), 2u);
+  BlockRecord& x = *carried[0];
+  BlockRecord& y = *carried[1];
+  ASSERT_EQ(x.logical_size, y.logical_size);
+  std::swap(x.payload, y.payload);
+  std::swap(x.payload_compressed, y.payload_compressed);
+  x.payload_checksum = SendStream::PayloadChecksum(x.payload);
+  y.payload_checksum = SendStream::PayloadChecksum(y.payload);
+}
+
+/// Every StoreStats counter of `a` equals that of `b`.
+void ExpectSameStats(const store::StoreStats& a, const store::StoreStats& b) {
+  EXPECT_EQ(a.unique_blocks, b.unique_blocks);
+  EXPECT_EQ(a.total_refs, b.total_refs);
+  EXPECT_EQ(a.logical_unique_bytes, b.logical_unique_bytes);
+  EXPECT_EQ(a.logical_referenced_bytes, b.logical_referenced_bytes);
+  EXPECT_EQ(a.physical_data_bytes, b.physical_data_bytes);
+  EXPECT_EQ(a.ddt_disk_bytes, b.ddt_disk_bytes);
+  EXPECT_EQ(a.ddt_core_bytes, b.ddt_core_bytes);
 }
 
 /// Reads every file of `volume` at its latest state and compares.
@@ -368,6 +433,141 @@ TEST(Send, FromMustPrecedeTo) {
   EXPECT_THROW(source.Send("s2", "s1"), std::invalid_argument);
   EXPECT_THROW(source.Send("s1", "missing"), NoSuchSnapshotError);
   EXPECT_THROW(source.Send("missing", "s2"), NoSuchSnapshotError);
+}
+
+TEST(Send, VerifiesEveryCarriedBlock) {
+  Volume source(SmallConfig());
+  source.WriteFile("a", BufferSource(MixedBlocks(4, 46)));
+  source.CreateSnapshot("s1", 100);
+  source.WriteFile("b", BufferSource(MixedBlocks(4, 47)));
+  source.CreateSnapshot("s2", 200);
+  store::BlockStore& store = source.block_store();
+
+  // A damaged compressed block is never shipped...
+  ASSERT_TRUE(store.CorruptPayloadForTesting(source.FileBlock("a", 0).digest));
+  EXPECT_THROW(source.Send("", "s1"), store::BlockCorruptionError);
+  // ...but a diff that does not carry it still sends.
+  EXPECT_NO_THROW(source.Send("s1", "s2"));
+  // Neither is a damaged block stored raw.
+  ASSERT_TRUE(store.CorruptPayloadForTesting(source.FileBlock("b", 1).digest));
+  EXPECT_THROW(source.Send("s1", "s2"), store::BlockCorruptionError);
+}
+
+TEST(Receive, StoredFormsChangeNoBytes) {
+  Volume source(SmallConfig());
+  source.WriteFile("a", BufferSource(MixedBlocks(12, 40)));
+  source.CreateSnapshot("s1", 100);
+  source.WriteRange("a", 4096, MixedBlocks(3, 41));
+  source.WriteFile("b", BufferSource(MixedBlocks(6, 42)));
+  source.CreateSnapshot("s2", 200);
+  const SendStream full = source.Send("", "s1");
+  const SendStream incr = source.Send("s1", "s2");
+  std::size_t compressed = 0;
+  std::size_t raw = 0;
+  for (const FileRecord& f : full.files) {
+    for (const BlockRecord& b : f.blocks) {
+      if (b.has_payload) ++(b.payload_compressed ? compressed : raw);
+    }
+  }
+  ASSERT_GT(compressed, 0u);
+  ASSERT_GT(raw, 0u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    VolumeConfig config = SmallConfig();
+    config.ingest.threads = threads;
+    config.read.threads = threads;
+    Volume as_sent(config);
+    Volume decoded(config);
+    as_sent.Receive(full);
+    as_sent.Receive(incr);
+    decoded.Receive(Decompressed(full));
+    decoded.Receive(Decompressed(incr));
+    ExpectVolumesEqual(source, as_sent);
+    ExpectVolumesEqual(as_sent, decoded);
+    ExpectSameStats(as_sent.block_store().stats(),
+                    decoded.block_store().stats());
+    for (const std::string& name : as_sent.FileNames()) {
+      for (std::uint64_t i = 0; i < as_sent.FileBlockCount(name); ++i) {
+        const BlockPtr& ptr = as_sent.FileBlock(name, i);
+        if (ptr.hole) continue;
+        EXPECT_EQ(as_sent.block_store().PhysicalSize(ptr.digest),
+                  decoded.block_store().PhysicalSize(ptr.digest));
+        EXPECT_EQ(as_sent.block_store().DiskOffset(ptr.digest),
+                  decoded.block_store().DiskOffset(ptr.digest));
+      }
+    }
+  }
+}
+
+TEST(Receive, ForeignCodecStreamStoredInReceiverCodec) {
+  const Bytes content = MixedBlocks(12, 43);
+  Volume source(SmallConfig());  // gzip6
+  source.WriteFile("a", BufferSource(content));
+  source.CreateSnapshot("s1", 100);
+
+  VolumeConfig lz4 = SmallConfig();
+  lz4.codec = compress::CodecId::kLz4;
+  Volume replica(lz4);
+  replica.Receive(SendStream::Deserialize(source.Send("", "s1").Serialize()));
+  Volume direct(lz4);
+  direct.WriteFile("a", BufferSource(content));
+  direct.CreateSnapshot("s1", 100);
+
+  EXPECT_EQ(replica.ReadFile("a"), content);
+  ExpectSameStats(replica.block_store().stats(), direct.block_store().stats());
+  EXPECT_NE(replica.block_store().stats().physical_data_bytes,
+            source.block_store().stats().physical_data_bytes);
+  for (std::uint64_t i = 0; i < replica.FileBlockCount("a"); ++i) {
+    const util::Digest& digest = replica.FileBlock("a", i).digest;
+    EXPECT_EQ(replica.block_store().PhysicalSize(digest),
+              direct.block_store().PhysicalSize(digest));
+  }
+}
+
+TEST(Receive, CarriedPayloadMustHashToItsRecordDigest) {
+  Volume source(SmallConfig());
+  source.WriteFile("a", BufferSource(MixedBlocks(6, 44)));
+  source.CreateSnapshot("s1", 100);
+  source.WriteFile("b", BufferSource(MixedBlocks(6, 45)));
+  source.CreateSnapshot("s2", 200);
+  SendStream full = source.Send("", "s1");
+  SendStream incr = source.Send("s1", "s2");
+  SwapFirstTwoPayloads(full);
+  SwapFirstTwoPayloads(incr);
+  // The damage survives the wire: checksums and trailer are consistent.
+  const SendStream wire_full = SendStream::Deserialize(full.Serialize());
+
+  Volume plain(SmallConfig());
+  EXPECT_THROW(plain.Receive(wire_full), StreamCorruptError);
+
+  // Transactional volumes (capacity armed, or a fault injector armed) roll
+  // the rejected stream back completely.
+  VolumeConfig capped = SmallConfig();
+  capped.capacity_bytes = 1 << 20;
+  util::FaultInjector faults(7, util::FaultProfile{});
+  for (const bool with_faults : {false, true}) {
+    SCOPED_TRACE(with_faults ? "fault injector" : "capacity");
+    Volume replica(with_faults ? SmallConfig() : capped);
+    if (with_faults) replica.SetFaultInjector(&faults);
+    replica.Receive(source.Send("", "s1"));
+    const Bytes image = replica.Serialize();
+    const store::StoreStats before = replica.block_store().stats();
+
+    EXPECT_THROW(replica.Receive(incr), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), image);
+    ExpectSameStats(replica.block_store().stats(), before);
+    test::ExpectVolumeInvariants(replica, "after rejected diff");
+
+    // ReceiveFull checks digests before it drops anything.
+    EXPECT_THROW(replica.ReceiveFull(full), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), image);
+    test::ExpectVolumeInvariants(replica, "after rejected full stream");
+
+    // The intact diff still applies.
+    replica.Receive(source.Send("s1", "s2"));
+    ExpectVolumesEqual(source, replica);
+  }
 }
 
 }  // namespace

@@ -5,8 +5,13 @@
 //   corruption  — flip bits in one compute node's ccVolume at a per-block
 //                 rate, then scrub-repair against the storage node's healthy
 //                 scVolume (§3's full replication is what makes every block
-//                 repairable). Reports errors found, blocks repaired, bytes
-//                 re-fetched, and verifies the post-repair scrub is clean.
+//                 repairable). Rounds of inject -> scrub-repair repeat, each
+//                 with a fresh fault schedule, until the point has checked
+//                 enough blocks to expect kExpectedFaults injections, so a
+//                 low rate is measured rather than reported as zero. Reports
+//                 errors found, blocks repaired, bytes re-fetched, and
+//                 verifies the final scrub is clean. Exits nonzero when a
+//                 nonzero rate injects nothing.
 //   transfers   — fail/corrupt registration diff transfers at a per-attempt
 //                 rate; the retry layer (capped exponential backoff, resume
 //                 at record granularity) keeps delivering. Reports retries,
@@ -15,6 +20,8 @@
 //
 // All faults are schedule-driven from one seed: rerunning the binary
 // reproduces every number bit-identically.
+#include <cmath>
+
 #include "bench/ingest_common.h"
 #include "core/squirrel.h"
 #include "util/fault_injector.h"
@@ -63,8 +70,14 @@ void PopulateCluster(core::SquirrelCluster& cluster,
   }
 }
 
+/// Injections each nonzero-rate point is sized to expect: it checks at
+/// least kExpectedFaults / rate blocks, so the chance that it injects none
+/// is about e^-kExpectedFaults (under 2%).
+constexpr double kExpectedFaults = 4.0;
+
 struct CorruptionRow {
   double rate = 0.0;
+  std::uint64_t rounds = 0;
   std::uint64_t blocks_checked = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t errors_found = 0;
@@ -81,17 +94,27 @@ CorruptionRow RunCorruptionSweep(const vmi::Catalog& catalog, double rate,
   PopulateCluster(cluster, catalog, nullptr, nullptr);
   zvol::Volume& victim = cluster.compute_node(0).volume();
 
-  util::FaultInjector faults(seed, {.block_corrupt_rate = rate});
   CorruptionRow row;
   row.rate = rate;
-  row.corrupted = victim.InjectFaults(faults);
-  const zvol::Volume::RepairReport repair =
-      victim.ScrubRepair(cluster.storage_volume().block_store());
-  row.blocks_checked = repair.blocks_checked;
-  row.errors_found = repair.errors_found;
-  row.repaired = repair.repaired;
-  row.unrepairable = repair.unrepairable;
-  row.repaired_bytes = repair.repaired_bytes;
+  const double target =
+      rate > 0 ? std::ceil(kExpectedFaults / rate) : 0.0;
+  // One round checks every block once; a rate of 0 runs a single round.
+  do {
+    // Each round draws its own schedule: the injector is keyed by (seed,
+    // digest), so reusing one seed would hit the same blocks every round.
+    util::FaultInjector faults(seed + row.rounds,
+                               {.block_corrupt_rate = rate});
+    row.corrupted += victim.InjectFaults(faults);
+    const zvol::Volume::RepairReport repair =
+        victim.ScrubRepair(cluster.storage_volume().block_store());
+    ++row.rounds;
+    row.blocks_checked += repair.blocks_checked;
+    row.errors_found += repair.errors_found;
+    row.repaired += repair.repaired;
+    row.unrepairable += repair.unrepairable;
+    row.repaired_bytes += repair.repaired_bytes;
+    if (repair.blocks_checked == 0) break;  // nothing to corrupt
+  } while (static_cast<double>(row.blocks_checked) < target);
   row.post_scrub_errors = victim.Scrub().errors;
   return row;
 }
@@ -137,11 +160,13 @@ void WriteJson(const std::vector<CorruptionRow>& corruption,
     const CorruptionRow& r = corruption[i];
     std::fprintf(
         out,
-        "    {\"block_corrupt_rate\": %g, \"blocks_checked\": %llu, "
+        "    {\"block_corrupt_rate\": %g, \"rounds\": %llu, "
+        "\"blocks_checked\": %llu, "
         "\"blocks_corrupted\": %llu, \"errors_found\": %llu, "
         "\"repaired\": %llu, \"unrepairable\": %llu, "
         "\"repaired_bytes\": %llu, \"post_scrub_errors\": %llu}%s\n",
-        r.rate, static_cast<unsigned long long>(r.blocks_checked),
+        r.rate, static_cast<unsigned long long>(r.rounds),
+        static_cast<unsigned long long>(r.blocks_checked),
         static_cast<unsigned long long>(r.corrupted),
         static_cast<unsigned long long>(r.errors_found),
         static_cast<unsigned long long>(r.repaired),
@@ -182,16 +207,22 @@ int main(int argc, char** argv) {
   const vmi::Catalog catalog =
       vmi::Catalog::AzureCommunity(MakeCatalogConfig(options));
 
+  // A point costs about kExpectedFaults / rate block checks (one decode and
+  // hash each), so the smoke run leaves out 1e-4, which alone needs 40,000.
+  std::vector<double> rates = {0.0, 1e-4, 1e-3, 1e-2};
+  if (options.fast) rates.erase(rates.begin() + 1);
   std::vector<CorruptionRow> corruption;
-  for (const double rate : {0.0, 1e-4, 1e-3, 1e-2}) {
+  for (const double rate : rates) {
     corruption.push_back(RunCorruptionSweep(catalog, rate, options.seed));
   }
-  util::Table scrub_table({"corrupt rate", "blocks", "injected", "found",
+  util::Table scrub_table({"corrupt rate", "rounds", "blocks checked",
+                           "injected", "found",
                            "repaired", "unrepairable", "re-fetched",
                            "post-scrub err"});
   for (const CorruptionRow& r : corruption) {
     scrub_table.AddRow(
-        {util::Table::Num(r.rate, 4), std::to_string(r.blocks_checked),
+        {util::Table::Num(r.rate, 4), std::to_string(r.rounds),
+         std::to_string(r.blocks_checked),
          std::to_string(r.corrupted), std::to_string(r.errors_found),
          std::to_string(r.repaired), std::to_string(r.unrepairable),
          util::FormatBytes(static_cast<double>(r.repaired_bytes)),
@@ -226,5 +257,15 @@ int main(int argc, char** argv) {
 
   WriteJson(corruption, transfers, options);
   std::printf("\nwrote BENCH_faults.json\n");
+  // A nonzero rate that injected nothing measured nothing.
+  for (const CorruptionRow& r : corruption) {
+    if (r.rate > 0 && r.corrupted == 0) {
+      std::fprintf(stderr,
+                   "ablation_faults: rate %g injected no corruption in %llu "
+                   "checked blocks\n",
+                   r.rate, static_cast<unsigned long long>(r.blocks_checked));
+      return 1;
+    }
+  }
   return 0;
 }

@@ -215,10 +215,10 @@ RegistrationReport SquirrelCluster::Register(const RegisterRequest& request) {
     } catch (const zvol::StreamMismatchError&) {
       // Stale replica (missed earlier diffs); resolved by SyncNode later.
     } catch (const util::CrashError&) {
-      // The node died mid-apply. Its transactional Receive either rolled
-      // back (replica unchanged, SyncNode re-delivers) or crashed after the
-      // commit point (replica current; re-delivery no-ops). Either way the
-      // cluster keeps going without this receiver.
+      // The node died mid-apply. Its Receive either rolled back (replica
+      // unchanged, SyncNode re-delivers) or crashed after the commit point
+      // (replica current; re-delivery no-ops). Either way the cluster keeps
+      // going without this receiver.
       ++report.transfers.crashed_applies;
     }
   }

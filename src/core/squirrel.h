@@ -224,8 +224,7 @@ class SquirrelCluster {
   /// model. The injector is borrowed (caller keeps ownership); nullptr
   /// disarms, and a disarmed cluster's accounting is bit-identical to one
   /// that never had an injector. Arming forwards to the scVolume and every
-  /// ccVolume, which switches their Receive paths to transactional mode
-  /// (staged apply + rollback) — logically identical when no crash fires.
+  /// ccVolume, which arms the crash sites of their Receive paths.
   void SetFaultInjector(util::FaultInjector* faults) {
     faults_ = faults;
     sc_volume_.SetFaultInjector(faults);

@@ -244,9 +244,14 @@ void FleetScenario::ScheduleChurn() {
     churning[ids[k]] = 1;
   }
 
+  // Leaves are spread evenly over the first half second, so every churner
+  // is offline before the re-registrations below are submitted at t0 + 1 s
+  // and pays one catch-up at rejoin, at any fleet size.
+  const double leave_window_ns = 0.5e9;
   for (std::uint32_t k = 0; k < churners && k < n; ++k) {
     const std::uint32_t node = ids[k];
-    const double leave_ns = t0 + static_cast<double>(k) * 0.1e9;
+    const double leave_ns =
+        t0 + leave_window_ns * static_cast<double>(k) / churners;
     const double rejoin_ns = leave_ns + config_.churn_offline_seconds * 1e9;
     loop_.Schedule(leave_ns, "leave",
                    [this, node] { nodes_[node].online = 0; });

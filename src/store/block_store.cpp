@@ -437,22 +437,6 @@ BlockStore::LoadStatus BlockStore::LoadVerified(const util::Digest& digest,
   return LoadStatus::kOk;
 }
 
-util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
-  // No ARC interaction at all: the rollback path this serves must not
-  // disturb cache state or read counters.
-  StoredPayload stored;
-  util::Bytes raw;
-  switch (LoadVerified(digest, &stored, &raw)) {
-    case LoadStatus::kMissing:
-      throw NoSuchBlockError(digest);
-    case LoadStatus::kCorrupt:
-      throw BlockCorruptionError(digest);
-    case LoadStatus::kOk:
-      break;
-  }
-  return stored.compressed ? std::move(raw) : std::move(stored.payload);
-}
-
 std::vector<StoredPayload> BlockStore::GetStoredBatch(
     std::span<const util::Digest> digests) const {
   // Every block loads independently, so slots fill in parallel; errors are

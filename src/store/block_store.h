@@ -343,19 +343,12 @@ class BlockStore {
   /// Thin wrapper over GetBatch with a one-element batch.
   util::Bytes Get(const util::Digest& digest) const;
 
-  /// Decompressed payload, bypassing the ARC entirely — no cache probe, no
-  /// fill, no read-counter movement. The transactional Receive path snapshots
-  /// to-be-freed payloads through this so a rollback can restore them without
-  /// perturbing cache state. Always verifies (dedup mode): throws
-  /// NoSuchBlockError for unknown digests and BlockCorruptionError when the
-  /// stored payload no longer matches its digest.
-  util::Bytes GetUncached(const util::Digest& digest) const;
-
   /// Stored forms of `digests` in input order, for senders that ship blocks
   /// as stored. Each block is decoded and re-hashed (dedup mode) on the read
-  /// pool before it is returned, bypassing the ARC like GetUncached. Throws
-  /// NoSuchBlockError for the first unknown digest, else BlockCorruptionError
-  /// for the first corrupt block, both in input order as GetBatch does.
+  /// pool before it is returned, bypassing the ARC (no cache probe, fill or
+  /// read-counter movement). Throws NoSuchBlockError for the first unknown
+  /// digest, else BlockCorruptionError for the first corrupt block, both in
+  /// input order as GetBatch does.
   std::vector<StoredPayload> GetStoredBatch(
       std::span<const util::Digest> digests) const;
 
@@ -602,7 +595,7 @@ class BlockStore {
 
   /// Outcome of LoadVerified.
   enum class LoadStatus { kOk, kMissing, kCorrupt };
-  /// Shared load-and-verify step of Verify, GetUncached and GetStoredBatch:
+  /// Shared load-and-verify step of Verify and GetStoredBatch:
   /// copies the stored entry of `digest` under its shard lock, then decodes
   /// it and (dedup mode) re-hashes it outside the lock, never touching the
   /// ARC. On kOk, `*stored` holds the entry as stored and `*raw` the decoded

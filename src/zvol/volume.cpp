@@ -1,7 +1,6 @@
 #include "zvol/volume.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <unordered_set>
 
@@ -29,36 +28,23 @@ DigestSet ReachableDigests(const FileTable& table) {
 
 }  // namespace
 
-/// Undo log for the transactional Receive path. Store operations performed
-/// through the txn are applied immediately (so the exact op sequence — and
-/// thus first-fit allocation behaviour — matches the legacy in-place apply)
-/// and logged with their inverse; Rollback replays the inverses in reverse
-/// order. An Unref that would free the last reference snapshots the payload
-/// first (through the ARC-bypassing GetUncached) so the inverse is a re-Put
-/// — that restoration requires content-addressed digests (dedup on), which
-/// every cluster path satisfies; in those paths the live table always
-/// equals the latest snapshot's table when a stream applies, so refcounts
-/// stay >= 2 and the case cannot occur at all.
+/// Undo log of one Receive apply. Ref and PutBatch reach the store at once
+/// and are logged, so Rollback drops those references again in reverse
+/// order. Unref is only recorded: Commit applies the releases after the
+/// table swap, so no block is freed before the commit point and a rollback
+/// never has to bring a payload back. On the cluster paths the live table
+/// equals the latest snapshot's when a stream applies, so no release is a
+/// block's last reference and deferring the releases changes no allocation.
 class Volume::StoreTxn {
  public:
   explicit StoreTxn(store::BlockStore& store) : store_(store) {}
 
   void Ref(const util::Digest& digest) {
     store_.Ref(digest);
-    undo_.push_back({Undo::kUnref, digest, {}});
+    taken_.push_back(digest);
   }
 
-  void Unref(const util::Digest& digest) {
-    const bool last = store_.RefCount(digest) == 1;
-    util::Bytes payload;
-    if (last) payload = store_.GetUncached(digest);
-    store_.Unref(digest);
-    if (last) {
-      undo_.push_back({Undo::kRestore, digest, std::move(payload)});
-    } else {
-      undo_.push_back({Undo::kRef, digest, {}});
-    }
-  }
+  void Unref(const util::Digest& digest) { released_.push_back(digest); }
 
   std::vector<store::PutResult> PutBatch(
       std::span<const util::ByteSpan> blocks,
@@ -67,41 +53,25 @@ class Volume::StoreTxn {
     // PutBatch is atomic (it unwinds itself on crash/no-space before
     // throwing), so the whole batch logs only on success.
     for (const store::PutResult& result : results) {
-      undo_.push_back({Undo::kUnref, result.digest, {}});
+      taken_.push_back(result.digest);
     }
     return results;
   }
 
+  void Commit() {
+    for (const util::Digest& digest : released_) store_.Unref(digest);
+  }
+
   void Rollback() {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      switch (it->kind) {
-        case Undo::kUnref:
-          store_.Unref(it->digest);
-          break;
-        case Undo::kRef:
-          store_.Ref(it->digest);
-          break;
-        case Undo::kRestore: {
-          const store::PutResult result = store_.Put(
-              util::ByteSpan(it->payload.data(), it->payload.size()));
-          assert(result.digest == it->digest &&
-                 "rollback payload restore requires dedup digests");
-          (void)result;
-          break;
-        }
-      }
+    for (auto it = taken_.rbegin(); it != taken_.rend(); ++it) {
+      store_.Unref(*it);
     }
-    undo_.clear();
   }
 
  private:
-  struct Undo {
-    enum Kind { kUnref, kRef, kRestore } kind;
-    util::Digest digest;
-    util::Bytes payload;  // kRestore only
-  };
   store::BlockStore& store_;
-  std::vector<Undo> undo_;
+  std::vector<util::Digest> taken_;     // references to drop on rollback
+  std::vector<util::Digest> released_;  // references to drop on commit
 };
 
 Volume::Volume(VolumeConfig config)
@@ -781,45 +751,18 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
 
 void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
                                 std::vector<CarriedPayload>& carried,
-                                StoreTxn* txn) {
-  // Transactional mode routes every store operation through the undo log;
-  // legacy mode hits the store directly — same call sequence either way.
-  const auto do_ref = [&](const util::Digest& digest) {
-    if (txn != nullptr) {
-      txn->Ref(digest);
-    } else {
-      store_.Ref(digest);
-    }
-  };
-  const auto do_unref = [&](const util::Digest& digest) {
-    if (txn != nullptr) {
-      txn->Unref(digest);
-    } else {
-      store_.Unref(digest);
-    }
-  };
-  const auto do_put_batch = [&](std::span<const util::ByteSpan> payloads,
-                                 std::span<const util::ByteSpan> stored) {
-    return txn != nullptr ? txn->PutBatch(payloads, stored)
-                          : store_.PutBatch(payloads, stored);
-  };
-  // Volume-level crash sites fire only in transactional mode with an
-  // injector armed (a capacity alone arms the txn, not the crash schedule).
-  const auto crash_site = [&](const char* site, std::uint64_t salt = 0) {
-    if (txn != nullptr && faults_ != nullptr) faults_->CrashPoint(site, salt);
-  };
-
-  crash_site("receive/validated");
+                                StoreTxn& txn) {
+  CrashSite("receive/validated");
 
   std::uint64_t deletion_index = 0;
   for (const std::string& name : stream.deleted_files) {
-    crash_site("receive/delete", deletion_index++);
+    CrashSite("receive/delete", deletion_index++);
     auto it = table.find(name);
     if (it == table.end()) {
       throw StreamCorruptError("receive: deletion of unknown file " + name);
     }
     for (const BlockPtr& ptr : it->second.blocks) {
-      if (!ptr.hole) do_unref(ptr.digest);
+      if (!ptr.hole) txn.Unref(ptr.digest);
     }
     table.erase(it);
   }
@@ -827,13 +770,13 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
   std::size_t next_carried = 0;
   std::uint64_t file_index = 0;
   for (const FileRecord& f : stream.files) {
-    crash_site("receive/file", file_index++);
+    CrashSite("receive/file", file_index++);
     FileMeta* meta;
     auto it = table.find(f.name);
     if (f.whole_file || it == table.end()) {
       if (it != table.end()) {
         for (const BlockPtr& ptr : it->second.blocks) {
-          if (!ptr.hole) do_unref(ptr.digest);
+          if (!ptr.hole) txn.Unref(ptr.digest);
         }
         table.erase(it);
       }
@@ -849,19 +792,18 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       // A shrinking file drops its tail blocks; release their references
       // before the resize discards the pointers.
       for (std::uint64_t i = new_count; i < meta->blocks.size(); ++i) {
-        if (!meta->blocks[i].hole) do_unref(meta->blocks[i].digest);
+        if (!meta->blocks[i].hole) txn.Unref(meta->blocks[i].digest);
       }
       meta->blocks.resize(new_count);
     }
 
-    // Drop every touched block's old reference first. This is safe to batch
-    // ahead of the inserts because the live table equals the latest
-    // snapshot's table when a stream applies, so snapshot references keep
-    // any still-needed block alive across the reordering.
+    // Drop every touched block's old reference first. The releases only
+    // run at commit, so a block this stream still references stays in the
+    // store while the inserts below look it up.
     for (const BlockRecord& b : f.blocks) {
       BlockPtr& ptr = meta->blocks[b.index];
       if (!ptr.hole) {
-        do_unref(ptr.digest);
+        txn.Unref(ptr.digest);
         ptr = BlockPtr{};
       }
     }
@@ -881,7 +823,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       payloads.emplace_back(carried[next_carried + k].raw);
       stored.push_back(carried[next_carried + k].stored);
     }
-    const std::vector<store::PutResult> puts = do_put_batch(payloads, stored);
+    const std::vector<store::PutResult> puts = txn.PutBatch(payloads, stored);
     std::size_t next_put = 0;
     for (const BlockRecord& b : f.blocks) {
       if (b.hole) continue;
@@ -900,7 +842,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
           throw StreamCorruptError(
               "receive: stream references a block this volume does not hold");
         }
-        do_ref(b.digest);
+        txn.Ref(b.digest);
         ptr = BlockPtr{false, b.digest, b.logical_size};
       }
     }
@@ -908,35 +850,33 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
   }
 }
 
+void Volume::CrashSite(const char* site, std::uint64_t salt) const {
+  if (faults_ != nullptr) faults_->CrashPoint(site, salt);
+}
+
 void Volume::CommitReceive(const SendStream& stream,
                            std::vector<CarriedPayload>& carried) {
-  const bool transactional =
-      faults_ != nullptr || config_.capacity_bytes != 0;
-  if (!transactional) {
-    // Legacy in-place apply: bit-identical to pre-crash-model behaviour.
-    ApplyStreamToTable(stream, files_, carried, nullptr);
-  } else {
-    // Stage against a shadow copy of the file table; the store operations
-    // run for real (same sequence as legacy) but carry an undo log. Any
-    // failure — simulated crash, disk-full, stream damage discovered
-    // mid-apply — rolls the store back and discards the staged table, so
-    // the volume is exactly as it was.
-    FileTable staged = files_;
-    StoreTxn txn(store_);
-    try {
-      if (faults_ != nullptr) faults_->CrashPoint("receive/begin");
-      ApplyStreamToTable(stream, staged, carried, &txn);
-      if (faults_ != nullptr) faults_->CrashPoint("receive/staged");
-    } catch (...) {
-      txn.Rollback();
-      throw;
-    }
-    // Commit point: the table swap plus snapshot retention below is the
-    // atomic metadata flip — no crash site interrupts it, mirroring a
-    // journaled rename. A crash after "receive/committed" finds the stream
-    // fully applied; re-delivery is an idempotent no-op.
-    files_ = std::move(staged);
+  // Stage against a copy of the file table. Refs and puts reach the store
+  // at once through the undo log; releases wait for the commit. Any failure
+  // — simulated crash, disk-full, stream damage found mid-apply — rolls the
+  // store back and discards the staged table, so the volume is exactly as
+  // it was.
+  FileTable staged = files_;
+  StoreTxn txn(store_);
+  try {
+    CrashSite("receive/begin");
+    ApplyStreamToTable(stream, staged, carried, txn);
+    CrashSite("receive/staged");
+  } catch (...) {
+    txn.Rollback();
+    throw;
   }
+  // Commit point: the table swap, the deferred releases and the snapshot
+  // retention below are the atomic metadata flip — no crash site interrupts
+  // them, mirroring a journaled rename. A crash after "receive/committed"
+  // finds the stream fully applied; re-delivery is an idempotent no-op.
+  files_ = std::move(staged);
+  txn.Commit();
 
   auto snap = std::make_unique<Snapshot>();
   snap->id = stream.to_id;
@@ -946,9 +886,7 @@ void Volume::CommitReceive(const SendStream& stream,
   RetainTable(snap->files);
   snapshots_.push_back(std::move(snap));
   next_snapshot_id_ = std::max(next_snapshot_id_, stream.to_id + 1);
-  if (transactional && faults_ != nullptr) {
-    faults_->CrashPoint("receive/committed");
-  }
+  CrashSite("receive/committed");
 }
 
 void Volume::Receive(const SendStream& stream) {
@@ -956,9 +894,10 @@ void Volume::Receive(const SendStream& stream) {
     throw StreamMismatchError("receive: block size mismatch");
   }
   const Snapshot* latest = LatestSnapshot();
-  // Idempotent re-delivery (crash-restart only — legacy callers keep the
-  // mismatch errors below): a crash after the commit point leaves the
-  // stream fully applied; the retry finds `to` already latest and no-ops.
+  // Idempotent re-delivery (only with an injector armed — other callers
+  // keep the mismatch errors below): a crash after the commit point leaves
+  // the stream fully applied; the retry finds `to` already latest and
+  // no-ops.
   if (faults_ != nullptr && latest != nullptr &&
       latest->id == stream.to_id && latest->name == stream.to_name) {
     return;
@@ -988,8 +927,8 @@ void Volume::ReceiveFull(const SendStream& stream) {
   // digests — BEFORE dropping anything: a mismatched or damaged stream must
   // leave the volume untouched (previously the drop ran first and a bad
   // stream wiped it). Receive leaves the digest check to the apply, which
-  // hashes every payload anyway and rolls back when transactional; here
-  // the drop precedes the apply, so the payloads are hashed up front.
+  // hashes every payload anyway and rolls back; here the drop precedes the
+  // apply, so the payloads are hashed up front.
   std::vector<CarriedPayload> carried =
       ValidateStream(stream, /*check_digests=*/true);
 
@@ -1010,7 +949,7 @@ void Volume::ReceiveFull(const SendStream& stream) {
   files_.clear();
   for (const auto& snap : snapshots_) ReleaseTable(snap->files);
   snapshots_.clear();
-  if (faults_ != nullptr) faults_->CrashPoint("receive_full/dropped");
+  CrashSite("receive_full/dropped");
 
   CommitReceive(stream, carried);
 }

@@ -49,10 +49,10 @@ struct VolumeConfig {
   /// tuning only — not part of the serialized volume state.
   std::size_t shards = store::BlockStoreConfig{}.shards;
   /// Backing-pool capacity in bytes; 0 (the default) means unlimited. A
-  /// full pool surfaces as store::NoSpaceError from the mutating paths;
-  /// Receive additionally switches to its transactional (rollback) mode so
-  /// a mid-apply disk-full leaves the volume exactly as it was. Runtime
-  /// tuning only — not part of the serialized volume state.
+  /// full pool surfaces as store::NoSpaceError from the mutating paths; a
+  /// disk-full inside Receive rolls back like any other apply failure, so
+  /// the volume is left exactly as it was. Runtime tuning only — not part
+  /// of the serialized volume state.
   std::uint64_t capacity_bytes = 0;
 };
 
@@ -331,19 +331,16 @@ class Volume {
   /// (Section 3.5). On success the live table becomes `to` and a snapshot of
   /// it is recorded under the stream's `to` name/id/time.
   ///
-  /// Crash consistency (DESIGN.md §15): with a fault injector armed (or a
-  /// pool capacity set) the apply runs transactionally — against a staged
-  /// copy of the file table with an undo log of store operations — so a
-  /// simulated crash (util::CrashError) or disk-full (store::NoSpaceError)
-  /// anywhere inside rolls the volume back to exactly its pre-call state,
-  /// and re-delivering a stream whose `to` snapshot already landed is an
-  /// idempotent no-op. Without an injector the non-staged legacy path runs,
-  /// bit-identical to previous behaviour.
-  ///
-  /// Damage found while validating leaves the volume untouched. A carried
-  /// payload that does not hash to its record digest is found during the
-  /// apply, where PutBatch hashes it; it throws StreamCorruptError, and the
-  /// volume is unchanged only in the transactional mode.
+  /// Crash consistency (DESIGN.md §15): the apply always runs against a
+  /// staged copy of the file table with an undo log of the references it
+  /// takes, and releases old references only at the commit point. So a
+  /// simulated crash (util::CrashError), a disk-full (store::NoSpaceError)
+  /// or stream damage found mid-apply (StreamCorruptError: a deletion of an
+  /// unknown file, a by-reference block this volume lacks, a carried
+  /// payload that does not hash to its record digest) rolls the volume
+  /// back to exactly its pre-call state. Damage found while validating
+  /// leaves it untouched too. With a fault injector armed, re-delivering a
+  /// stream whose `to` snapshot already landed is an idempotent no-op.
   void Receive(const SendStream& stream);
 
   /// Drops all state and applies a full stream (the "node offline for more
@@ -444,10 +441,10 @@ class Volume {
   }
 
   /// Arms crash/disk-full fault sites on this volume and its store: Receive/
-  /// ReceiveFull run their crash points and switch to the transactional
-  /// (staged + rollback) apply path, and the store's commit-stage sites and
-  /// allocation-refused accounting activate. Pass nullptr to disarm. With no
-  /// injector armed every path is bit-identical to previous behaviour.
+  /// ReceiveFull run their crash points and accept idempotent re-delivery,
+  /// and the store's commit-stage sites and allocation-refused accounting
+  /// activate. The apply itself is the same staged, rollback-safe path
+  /// either way. Pass nullptr to disarm.
   void SetFaultInjector(util::FaultInjector* faults) {
     faults_ = faults;
     store_.SetFaultInjector(faults);
@@ -500,22 +497,26 @@ class Volume {
   /// wrong-length, empty and all-zero ones), touching no table or store
   /// state. With `check_digests` (dedup mode) it also hashes every payload
   /// against its record digest; otherwise ApplyStreamToTable makes that
-  /// check on the digests PutBatch computes. Throws StreamCorruptError /
-  /// StreamMismatchError on damage; on success the returned payloads feed
-  /// ApplyStreamToTable.
+  /// check on the digests PutBatch computes and rolls back on a mismatch.
+  /// Throws StreamCorruptError / StreamMismatchError on damage; on success
+  /// the returned payloads feed ApplyStreamToTable.
   std::vector<CarriedPayload> ValidateStream(const SendStream& stream,
                                              bool check_digests) const;
-  /// Applies a validated stream to `table`. With `txn` set, every store
-  /// operation is routed through the undo log (transactional mode) and the
-  /// volume crash sites fire; with `txn == nullptr` this is the legacy
-  /// in-place apply.
+  /// Applies a validated stream to the staged `table`, routing every store
+  /// operation through `txn`: references it takes reach the store at once,
+  /// releases wait for txn.Commit(). The volume crash sites fire here when
+  /// an injector is armed. Throws StreamCorruptError on damage only the
+  /// apply can see; the caller rolls `txn` back.
   void ApplyStreamToTable(const SendStream& stream, FileTable& table,
-                          std::vector<CarriedPayload>& carried, StoreTxn* txn);
+                          std::vector<CarriedPayload>& carried, StoreTxn& txn);
   /// Shared tail of Receive/ReceiveFull after validation: applies the
-  /// stream (transactionally when faults or a capacity are armed) and
-  /// records the `to` snapshot.
+  /// stream to a staged copy of the file table, rolls the store back on any
+  /// failure, and otherwise swaps the table in, applies the deferred
+  /// releases and records the `to` snapshot.
   void CommitReceive(const SendStream& stream,
                      std::vector<CarriedPayload>& carried);
+  /// Interrogates the crash site `site` when a fault injector is armed.
+  void CrashSite(const char* site, std::uint64_t salt = 0) const;
   /// Shared scrub walk: unique digests referenced by the live table and all
   /// snapshots; dangling references are counted into *dangling_refs.
   std::vector<util::Digest> CollectScrubDigests(

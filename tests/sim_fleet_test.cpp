@@ -122,6 +122,23 @@ TEST(Fleet, ChurnedNodesPaySyncCatchUpAtRejoin) {
   EXPECT_GT(churn.remote_boots, 0u);
 }
 
+TEST(Fleet, ChurnCatchUpsGrowWithChurners) {
+  // Every churner leaves before the re-registrations, so each one rejoins
+  // behind and pays exactly one catch-up: the churn load grows with the
+  // fleet instead of saturating at the churners that happen to leave early.
+  for (const std::uint32_t nodes : {2000u, 8000u, 32000u}) {
+    SCOPED_TRACE(nodes);
+    FleetConfig config = SmallConfig();
+    config.nodes = nodes;
+    config.trace = false;
+    config.run_deploy = config.run_autoscale = config.run_patch = false;
+    const FleetReport report = FleetScenario(config).Run();
+    const auto churners = static_cast<std::uint64_t>(
+        config.churn_fraction * static_cast<double>(nodes));
+    EXPECT_EQ(report.sync_catchups, churners);
+  }
+}
+
 TEST(Fleet, ZipfSamplerMatchesTheoryAtMillionSamples) {
   // n=1e6 draws over 1000 ranks, s=0.9: empirical rank frequencies must
   // follow the Zipf pmf (top rank within 5% of theory, and monotone across

@@ -280,33 +280,80 @@ TEST(Crash, ReceiveFullValidatesBeforeDropping) {
   test::ExpectVolumeInvariants(replica);
 }
 
-TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
-  // A stream that validates but references a block the replica does not
-  // hold fails mid-apply; the transactional path must roll back fully
-  // (the legacy path would leave a half-applied table).
-  const DonorStreams d = MakeDonorStreams(1);
-  util::FaultInjector faults(0x5eed, util::FaultProfile{});
-  Volume replica(d.config);
-  replica.SetFaultInjector(&faults);
-  replica.Receive(d.full_s1);
-  const Bytes before = replica.Serialize();
-
-  SendStream bad = d.incr_s2;
-  bool rewired = false;
-  for (auto& file : bad.files) {
-    for (auto& block : file.blocks) {
+/// Points one by-reference record of `stream` (searching from its last
+/// file backwards) at a block no replica holds. Returns the damaged file's
+/// name, or "" when the stream carries no by-reference record.
+std::string ReferenceUnknownBlock(SendStream& stream) {
+  for (auto file = stream.files.rbegin(); file != stream.files.rend();
+       ++file) {
+    for (auto& block : file->blocks) {
       if (!block.has_payload && !block.hole) {
-        block.digest.bytes[0] ^= 0x01;  // now references an unknown block
-        rewired = true;
-        break;
+        block.digest.bytes[0] ^= 0x01;
+        return file->name;
       }
     }
-    if (rewired) break;
   }
-  ASSERT_TRUE(rewired) << "incremental stream carried no by-reference blocks";
-  EXPECT_THROW(replica.Receive(bad), StreamCorruptError);
-  EXPECT_EQ(replica.Serialize(), before);
-  test::ExpectVolumeInvariants(replica);
+  return "";
+}
+
+TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
+  // A stream that validates can still be damaged in ways only the apply
+  // sees, after it has already changed the staged table and the store.
+  // Every replica must roll such a stream back completely, whether it is
+  // plain or has a pool capacity or a fault injector armed.
+  const DonorStreams d = MakeDonorStreams(1);
+  ASSERT_EQ(d.incr_s2.deleted_files, std::vector<std::string>{"b"});
+  ASSERT_EQ(d.incr_s2.files.front().name, "a");
+  struct DamageCase {
+    const char* name;
+    bool local_writes;  // rewrite blocks 1-2 of "a" after the base lands
+    void (*damage)(SendStream&);
+  };
+  const DamageCase cases[] = {
+      {"by-reference block the replica lacks", false,
+       [](SendStream& s) { ASSERT_GT(ReferenceUnknownBlock(s), "a"); }},
+      {"unknown-file deletion after a valid one", false,
+       [](SendStream& s) { s.deleted_files.push_back("no-such-file"); }},
+      // The s1 -> s2 diff rewrites blocks 1-2 of "a", so it releases the
+      // last reference of each locally written block — the only way an
+      // apply can free a block — before it meets the damage in "c".
+      {"damage after releasing locally written blocks", true,
+       [](SendStream& s) { ASSERT_GT(ReferenceUnknownBlock(s), "a"); }},
+  };
+  const Bytes local = RandomBytes(2 * kBlock, 77);
+  for (const char* arming : {"plain", "capacity", "injector"}) {
+    for (const DamageCase& c : cases) {
+      SCOPED_TRACE(std::string(arming) + ": " + c.name);
+      const std::string kind = arming;
+      VolumeConfig config = d.config;
+      if (kind == "capacity") config.capacity_bytes = 1 << 20;
+      util::FaultInjector faults(0x5eed, util::FaultProfile{});
+      Volume replica(config);
+      if (kind == "injector") replica.SetFaultInjector(&faults);
+      replica.Receive(d.full_s1);
+      util::Digest written{};
+      if (c.local_writes) {
+        replica.WriteRange("a", kBlock, local);
+        written = replica.FileBlock("a", 1).digest;
+        ASSERT_EQ(replica.block_store().RefCount(written), 1u);
+      }
+      const Bytes before = replica.Serialize();
+
+      SendStream bad = d.incr_s2;
+      c.damage(bad);
+      EXPECT_THROW(replica.Receive(bad), StreamCorruptError);
+      EXPECT_EQ(replica.Serialize(), before);
+      test::ExpectVolumeInvariants(replica, "after rollback");
+
+      // The intact diff still applies; a locally written block is freed
+      // at its commit.
+      replica.Receive(d.incr_s2);
+      if (c.local_writes) {
+        EXPECT_FALSE(replica.block_store().Contains(written));
+      }
+      test::ExpectVolumeInvariants(replica, "after intact diff");
+    }
+  }
 }
 
 // --- disk-full unwind --------------------------------------------------------
@@ -349,8 +396,8 @@ TEST(DiskFull, ReceiveRollsBackAndReportsRefusals) {
   donor.WriteFile("huge", BufferSource(RandomBytes(6 * kBlock, 4)));
   donor.CreateSnapshot("s2", 20);
 
-  // Capacity fits exactly s1; a capacity alone (no injector) must already
-  // arm the transactional apply.
+  // Capacity fits exactly s1; with no injector armed the overflowing diff
+  // still rolls back.
   Volume replica(TinyPoolConfig(2 * kBlock));
   replica.Receive(donor.Send("", "s1"));
   const Bytes before = replica.Serialize();

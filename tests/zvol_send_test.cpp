@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "compress/codec.h"
 #include "store_invariants.h"
 #include "util/fault_injector.h"
@@ -538,18 +540,22 @@ TEST(Receive, CarriedPayloadMustHashToItsRecordDigest) {
   // The damage survives the wire: checksums and trailer are consistent.
   const SendStream wire_full = SendStream::Deserialize(full.Serialize());
 
-  Volume plain(SmallConfig());
-  EXPECT_THROW(plain.Receive(wire_full), StreamCorruptError);
+  Volume empty(SmallConfig());
+  const Bytes blank = empty.Serialize();
+  EXPECT_THROW(empty.Receive(wire_full), StreamCorruptError);
+  EXPECT_EQ(empty.Serialize(), blank);
+  test::ExpectVolumeInvariants(empty, "after rejected full stream");
 
-  // Transactional volumes (capacity armed, or a fault injector armed) roll
+  // Every volume — plain, capacity armed, or fault injector armed — rolls
   // the rejected stream back completely.
   VolumeConfig capped = SmallConfig();
   capped.capacity_bytes = 1 << 20;
   util::FaultInjector faults(7, util::FaultProfile{});
-  for (const bool with_faults : {false, true}) {
-    SCOPED_TRACE(with_faults ? "fault injector" : "capacity");
-    Volume replica(with_faults ? SmallConfig() : capped);
-    if (with_faults) replica.SetFaultInjector(&faults);
+  for (const char* arming : {"plain", "capacity", "fault injector"}) {
+    SCOPED_TRACE(arming);
+    const std::string kind = arming;
+    Volume replica(kind == "capacity" ? capped : SmallConfig());
+    if (kind == "fault injector") replica.SetFaultInjector(&faults);
     replica.Receive(source.Send("", "s1"));
     const Bytes image = replica.Serialize();
     const store::StoreStats before = replica.block_store().stats();

@@ -13,9 +13,10 @@
 // Modes, all on the warm-zfs boot path of Figure 11 (8 KB cVolume so each
 // 64 KB QCOW2 cluster spans eight blocks):
 //
-//   sync                     legacy synchronous charging (baseline)
-//   depth8                   async queue, no readahead
-//   depth8+ra16              async queue + sequential device readahead
+//   sync                     depth 1, no readahead: the guest waits on every
+//                            read (baseline)
+//   depth8                   depth-8 queue, no readahead
+//   depth8+ra16              depth-8 queue + sequential device readahead
 //   depth8+ra16+profile      readahead + profile replay (ARC warm + prefetch)
 //   degraded on-demand       1-in-5 blocks corrupt; repairs healed on demand
 //                            inside the boot (critical-path repair reads)
@@ -89,7 +90,7 @@ std::unique_ptr<zvol::Volume> MakeVolume(const std::vector<SampleVm>& vms,
   return volume;
 }
 
-/// First (unmeasured) boots under the async engine, each recording its touch
+/// First (unmeasured) boots at depth 8 with readahead, each recording its touch
 /// trace. Profiles take a Serialize/Deserialize round trip so the bench
 /// exercises the persisted wire format, not just the in-memory object.
 std::vector<vmi::BootProfile> RecordProfiles(
@@ -270,7 +271,7 @@ int main(int argc, char** argv) {
       RecordProfiles(vms, io_template, boot_config);
 
   const std::vector<Mode> modes = {
-      {"sync", 0, 0, false, false, false},
+      {"sync", 1, 0, false, false, false},
       {"depth8", kDepth, 0, false, false, false},
       {"depth8+ra16", kDepth, kReadahead, false, false, false},
       {"depth8+ra16+profile", kDepth, kReadahead, true, false, false},
@@ -279,11 +280,10 @@ int main(int argc, char** argv) {
   };
 
   std::vector<ModeResult> results;
-  double baseline_seconds = 0.0;
   for (const Mode& mode : modes) {
     results.push_back(RunMode(mode, vms, profiles, io_template, boot_config));
-    if (mode.depth == 0) baseline_seconds = results.back().mean_seconds;
   }
+  const double baseline_seconds = results.front().mean_seconds;
 
   util::Table table({"mode", "mean boot(s)", "speedup", "repair reads",
                      "preheal fetches", "prefetch issued"});

@@ -59,7 +59,9 @@ const util::Bytes& StripedFileDevice::AssembleBlock(const zvol::BlockPtr& ptr) {
     stats_.local_shard_bytes += gathered->local_bytes;
     stats_.remote_shard_bytes += gathered->remote_bytes;
     if (io_ != nullptr && gathered->local_bytes > 0) {
-      io_->ChargeDiskRead(ShardDiskOffset(ptr.digest), gathered->local_bytes);
+      const sim::IoContext::AsyncRead read{ShardDiskOffset(ptr.digest),
+                                           gathered->local_bytes};
+      io_->ChargeAsyncReadBatch({&read, 1}, nullptr);
     }
     for (const auto& [peer, bytes] : gathered->remote_reads) {
       if (network_ != nullptr) {

@@ -56,8 +56,10 @@ class LocalFileDevice final : public cow::WritableDevice,
   PrefetchOutcome PrefetchBlock(std::uint64_t block) override;
   std::uint64_t device_id() const override { return device_id_; }
 
- private:
+  /// Disk offset of logical byte `logical` under the XFS-like extent layout.
   std::uint64_t PhysicalOffset(std::uint64_t logical) const;
+
+ private:
   /// Charged bytes of block `b`: io_block, clamped at the final partial
   /// block; 0 for blocks at or past EOF (never issue wrapped-around reads).
   std::uint64_t BlockLength(std::uint64_t b) const;

@@ -32,15 +32,9 @@ class DiskModel {
   /// head position; advances the head.
   double Read(std::uint64_t offset, std::uint64_t length);
 
-  /// Writes are charged like reads (the simulator only models synchronous
-  /// paths; background flushes are free).
-  double Write(std::uint64_t offset, std::uint64_t length) {
-    return Read(offset, length);
-  }
-
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t seeks() const { return seeks_; }
-  /// Current head position (after the last Read/Write). The async disk
+  /// Current head position (after the last Read). The async disk
   /// queue's elevator orders queued requests by distance from here.
   std::uint64_t head() const { return head_; }
 

@@ -1,10 +1,7 @@
 // io_uring-style asynchronous disk queue over the rotational DiskModel,
-// driven by the discrete-event engine.
-//
-// The synchronous cost model (IoContext::ChargeDiskRead) charges every read
-// inline on the guest clock, so the disk is never working while the guest
-// computes — queue depth, request coalescing, and completion reordering are
-// invisible. This queue gives the disk its own timeline:
+// driven by the discrete-event engine. It is the only way IoContext charges
+// a disk read: the disk has its own timeline, so queue depth, request
+// coalescing and completion reordering are all visible to the guest clock:
 //
 //   submission   the guest submits a read at its current clock; at most
 //                `depth` requests are outstanding (submission stalls when the
@@ -18,11 +15,12 @@
 //                completions are observed out of submission order whenever
 //                the elevator reorders.
 //
-// depth = 1 reduces exactly to the synchronous model: the single-slot queue
-// admits one request at a time, FIFO, with nothing else queued to coalesce
-// or reorder past, so DiskModel sees the identical (offset, length) call
-// sequence and each completion time is the identical `start + cost` sum the
-// scalar clock would have accumulated — bit-identical, regression-tested.
+// At depth 1 the single-slot queue admits one request at a time, FIFO, with
+// nothing else queued to coalesce or reorder past: DiskModel sees the
+// submission order's (offset, length) sequence and each completion is
+// `start + cost` — for a submitter that waits on every read, a scalar
+// clock += DiskModel::Read sum, bit for bit (regression-tested against such
+// a reference in tests/sim_event_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -80,9 +78,6 @@ class AsyncDiskQueue {
 
   /// Runs the loop until `id` completes and returns its completion time.
   double CompletionNs(RequestId id);
-
-  /// True once `id`'s completion event has fired.
-  bool Completed(RequestId id) const { return completed_.contains(id); }
 
   /// Completes all outstanding requests; returns the last completion time
   /// (or the loop's current time when idle).

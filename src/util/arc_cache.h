@@ -8,14 +8,15 @@
 // — a single pass over a large file (exactly what a VM boot's one-time reads
 // are) cannot flush the frequently reused blocks.
 //
-// This is the generic, *weighted* core shared by two consumers:
+// This is the generic, *weighted* core. Two kinds of use:
 //
-//   * sim::ArcCache — the boot-simulator policy model, (device, block) keys
-//     with uniform weight 1; reduces exactly to the classic entry-counted
-//     formulation (the paper's integer arithmetic falls out of the weighted
-//     arithmetic at weight 1, and the reachable-state invariant
-//     "ghosts nonempty => resident weight == capacity" makes the budget
-//     loops run exactly once where the paper evicts once);
+//   * uniform weight 1 — block-id keys, as in the ARC-vs-LRU ablation
+//     (bench/ablation_arc) and the policy tests (tests/sim_arc_test.cpp);
+//     reduces exactly to the classic entry-counted formulation (the paper's
+//     integer arithmetic falls out of the weighted arithmetic at weight 1,
+//     and the reachable-state invariant "ghosts nonempty => resident weight
+//     == capacity" makes the budget loops run exactly once where the paper
+//     evicts once);
 //   * store::BlockCache — the byte-budgeted decompressed-block cache on the
 //     block-store read path, keyed by content digest and weighted by the
 //     decompressed payload size (like the real ARC, which is sized in bytes).

@@ -1,4 +1,6 @@
-#include "sim/arc_cache.h"
+// The generic ARC core (util/arc_cache.h) as the boot simulator uses it:
+// (device, block) keys with weight 1, the classic entry-counted formulation.
+#include "util/arc_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -6,63 +8,76 @@
 #include "util/hash.h"
 #include "util/rng.h"
 
-namespace squirrel::sim {
+namespace squirrel::util {
 namespace {
 
+struct BlockKey {
+  std::uint64_t device;
+  std::uint64_t block;
+  bool operator==(const BlockKey&) const = default;
+};
+struct BlockKeyHasher {
+  std::size_t operator()(const BlockKey& k) const noexcept {
+    return static_cast<std::size_t>((k.device * 0x9e3779b97f4a7c15ULL) ^
+                                    (k.block * 0xff51afd7ed558ccdULL));
+  }
+};
+using BlockArc = ArcCache<BlockKey, BlockKeyHasher>;
+
 TEST(ArcCache, BasicHitAfterInsert) {
-  ArcCache cache(8);
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  cache.Insert(1, 0);
-  EXPECT_TRUE(cache.Lookup(1, 0));
+  BlockArc cache(8);
+  EXPECT_FALSE(cache.Lookup({1, 0}));
+  cache.Insert({1, 0}, 1);
+  EXPECT_TRUE(cache.Lookup({1, 0}));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(ArcCache, CapacityBound) {
-  ArcCache cache(4);
-  for (std::uint64_t b = 0; b < 100; ++b) cache.Insert(1, b);
+  BlockArc cache(4);
+  for (std::uint64_t b = 0; b < 100; ++b) cache.Insert({1, b}, 1);
   EXPECT_LE(cache.resident_entries(), 4u);
 }
 
 TEST(ArcCache, ZeroCapacityNeverHits) {
-  ArcCache cache(0);
-  cache.Insert(1, 0);
-  EXPECT_FALSE(cache.Lookup(1, 0));
+  BlockArc cache(0);
+  cache.Insert({1, 0}, 1);
+  EXPECT_FALSE(cache.Lookup({1, 0}));
 }
 
 TEST(ArcCache, DeviceScopedKeys) {
-  ArcCache cache(8);
-  cache.Insert(1, 7);
-  EXPECT_FALSE(cache.Lookup(2, 7));
-  EXPECT_TRUE(cache.Lookup(1, 7));
+  BlockArc cache(8);
+  cache.Insert({1, 7}, 1);
+  EXPECT_FALSE(cache.Lookup({2, 7}));
+  EXPECT_TRUE(cache.Lookup({1, 7}));
 }
 
 TEST(ArcCache, LruEvictionWithinRecencyList) {
-  ArcCache cache(3);
-  cache.Insert(1, 0);
-  cache.Insert(1, 1);
-  cache.Insert(1, 2);
-  cache.Insert(1, 3);  // evicts block 0 (LRU of T1)
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_TRUE(cache.Lookup(1, 3));
+  BlockArc cache(3);
+  cache.Insert({1, 0}, 1);
+  cache.Insert({1, 1}, 1);
+  cache.Insert({1, 2}, 1);
+  cache.Insert({1, 3}, 1);  // evicts block 0 (LRU of T1)
+  EXPECT_FALSE(cache.Lookup({1, 0}));
+  EXPECT_TRUE(cache.Lookup({1, 3}));
 }
 
 TEST(ArcCache, FrequentBlocksSurviveScan) {
   // The defining ARC property: blocks with reuse (in T2) survive a long
   // one-pass scan that would flush a plain LRU.
-  ArcCache cache(16);
+  BlockArc cache(16);
   // Establish 4 hot blocks with reuse.
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t b = 0; b < 4; ++b) {
-      if (!cache.Lookup(1, b)) cache.Insert(1, b);
+      if (!cache.Lookup({1, b})) cache.Insert({1, b}, 1);
     }
   }
   // One-pass scan of 200 cold blocks (device 2).
   for (std::uint64_t b = 0; b < 200; ++b) {
-    if (!cache.Lookup(2, b)) cache.Insert(2, b);
+    if (!cache.Lookup({2, b})) cache.Insert({2, b}, 1);
   }
   int hot_survivors = 0;
-  for (std::uint64_t b = 0; b < 4; ++b) hot_survivors += cache.Lookup(1, b);
+  for (std::uint64_t b = 0; b < 4; ++b) hot_survivors += cache.Lookup({1, b});
   EXPECT_GE(hot_survivors, 3) << "scan must not flush the frequency list";
 }
 
@@ -70,34 +85,34 @@ TEST(ArcCache, LruWouldFailTheSameScan) {
   // Contrast baseline documenting why ARC matters: a plain-LRU-sized
   // comparison loses all hot blocks after the scan. (Uses ARC in pure
   // recency mode by never re-touching entries.)
-  ArcCache cache(16);
-  for (std::uint64_t b = 0; b < 4; ++b) cache.Insert(1, b);
-  for (std::uint64_t b = 0; b < 200; ++b) cache.Insert(2, b);
+  BlockArc cache(16);
+  for (std::uint64_t b = 0; b < 4; ++b) cache.Insert({1, b}, 1);
+  for (std::uint64_t b = 0; b < 200; ++b) cache.Insert({2, b}, 1);
   int survivors = 0;
-  for (std::uint64_t b = 0; b < 4; ++b) survivors += cache.Lookup(1, b);
+  for (std::uint64_t b = 0; b < 4; ++b) survivors += cache.Lookup({1, b});
   EXPECT_EQ(survivors, 0) << "untouched entries are recency-only and get flushed";
 }
 
 TEST(ArcCache, GhostHitAdaptsTarget) {
-  ArcCache cache(4);
+  BlockArc cache(4);
   // Fill T1, evicting into B1.
-  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert(1, b);
-  const std::size_t p_before = cache.target_t1();
+  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert({1, b}, 1);
+  const std::uint64_t p_before = cache.target_recency_weight();
   // Re-insert an evicted (ghost) block: B1 hit should raise p.
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  cache.Insert(1, 0);
-  EXPECT_GE(cache.target_t1(), p_before);
-  EXPECT_TRUE(cache.Lookup(1, 0));
+  EXPECT_FALSE(cache.Lookup({1, 0}));
+  cache.Insert({1, 0}, 1);
+  EXPECT_GE(cache.target_recency_weight(), p_before);
+  EXPECT_TRUE(cache.Lookup({1, 0}));
 }
 
 TEST(ArcCache, StressRandomWorkloadInvariant) {
-  ArcCache cache(32);
+  BlockArc cache(32);
   util::Rng rng(99);
   for (int op = 0; op < 20000; ++op) {
     const std::uint64_t block = rng.Below(200);
-    if (!cache.Lookup(1, block)) cache.Insert(1, block);
+    if (!cache.Lookup({1, block})) cache.Insert({1, block}, 1);
     ASSERT_LE(cache.resident_entries(), 32u);
-    ASSERT_LE(cache.target_t1(), 32u);
+    ASSERT_LE(cache.target_recency_weight(), 32u);
   }
   EXPECT_GT(cache.hits(), 0u);
 }
@@ -105,27 +120,27 @@ TEST(ArcCache, StressRandomWorkloadInvariant) {
 TEST(ArcCache, ZipfWorkloadBeatsPureRecency) {
   // Skewed reuse (boot blocks of popular images) should produce a solid hit
   // rate with a cache much smaller than the working set.
-  ArcCache cache(64);
+  BlockArc cache(64);
   util::Rng rng(7);
   util::ZipfSampler zipf(1000, 1.1);
   std::uint64_t hits = 0, total = 0;
   for (int op = 0; op < 30000; ++op) {
     const std::uint64_t block = zipf.Sample(rng);
     ++total;
-    if (cache.Lookup(1, block)) {
+    if (cache.Lookup({1, block})) {
       ++hits;
     } else {
-      cache.Insert(1, block);
+      cache.Insert({1, block}, 1);
     }
   }
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.4);
 }
 
 TEST(ArcCache, ShrinkEvictsDownToBudgetInReplacementOrder) {
-  ArcCache cache(8);
-  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert(1, b);
+  BlockArc cache(8);
+  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert({1, b}, 1);
   // Re-touch the last four so they live in T2 (frequency side).
-  for (std::uint64_t b = 4; b < 8; ++b) EXPECT_TRUE(cache.Lookup(1, b));
+  for (std::uint64_t b = 4; b < 8; ++b) EXPECT_TRUE(cache.Lookup({1, b}));
 
   cache.Resize(4);
   EXPECT_EQ(cache.capacity(), 4u);
@@ -133,56 +148,56 @@ TEST(ArcCache, ShrinkEvictsDownToBudgetInReplacementOrder) {
   // Shrinking runs the normal REPLACE routine, which victimizes the recency
   // side first: the untouched T1 blocks go, the re-referenced T2 ones stay.
   int t2_survivors = 0;
-  for (std::uint64_t b = 4; b < 8; ++b) t2_survivors += cache.Lookup(1, b);
+  for (std::uint64_t b = 4; b < 8; ++b) t2_survivors += cache.Lookup({1, b});
   EXPECT_EQ(t2_survivors, 4);
 }
 
 TEST(ArcCache, ShrinkEvictsLruFirstWithinRecencyList) {
-  ArcCache cache(6);
-  for (std::uint64_t b = 0; b < 6; ++b) cache.Insert(1, b);
+  BlockArc cache(6);
+  for (std::uint64_t b = 0; b < 6; ++b) cache.Insert({1, b}, 1);
   cache.Resize(2);
   // Pure recency contents: the two most recent inserts survive.
-  EXPECT_TRUE(cache.Lookup(1, 5));
-  EXPECT_TRUE(cache.Lookup(1, 4));
-  EXPECT_FALSE(cache.Lookup(1, 0));
-  EXPECT_FALSE(cache.Lookup(1, 3));
+  EXPECT_TRUE(cache.Lookup({1, 5}));
+  EXPECT_TRUE(cache.Lookup({1, 4}));
+  EXPECT_FALSE(cache.Lookup({1, 0}));
+  EXPECT_FALSE(cache.Lookup({1, 3}));
 }
 
 TEST(ArcCache, GrowKeepsContentsAndRaisesCeiling) {
-  ArcCache cache(3);
-  for (std::uint64_t b = 0; b < 3; ++b) cache.Insert(1, b);
+  BlockArc cache(3);
+  for (std::uint64_t b = 0; b < 3; ++b) cache.Insert({1, b}, 1);
   cache.Resize(16);
   EXPECT_EQ(cache.capacity(), 16u);
-  for (std::uint64_t b = 0; b < 3; ++b) EXPECT_TRUE(cache.Lookup(1, b));
+  for (std::uint64_t b = 0; b < 3; ++b) EXPECT_TRUE(cache.Lookup({1, b}));
   // The raised budget actually admits more without evicting the old set.
-  for (std::uint64_t b = 3; b < 16; ++b) cache.Insert(1, b);
+  for (std::uint64_t b = 3; b < 16; ++b) cache.Insert({1, b}, 1);
   EXPECT_EQ(cache.resident_entries(), 16u);
-  EXPECT_TRUE(cache.Lookup(1, 0));
+  EXPECT_TRUE(cache.Lookup({1, 0}));
 }
 
 TEST(ArcCache, ResizeToZeroDropsEverything) {
-  ArcCache cache(8);
-  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert(1, b);
+  BlockArc cache(8);
+  for (std::uint64_t b = 0; b < 8; ++b) cache.Insert({1, b}, 1);
   cache.Resize(0);
   EXPECT_EQ(cache.resident_entries(), 0u);
-  for (std::uint64_t b = 0; b < 8; ++b) EXPECT_FALSE(cache.Lookup(1, b));
+  for (std::uint64_t b = 0; b < 8; ++b) EXPECT_FALSE(cache.Lookup({1, b}));
   // And stays disabled, like a zero-capacity construction.
-  cache.Insert(1, 0);
-  EXPECT_FALSE(cache.Lookup(1, 0));
+  cache.Insert({1, 0}, 1);
+  EXPECT_FALSE(cache.Lookup({1, 0}));
 }
 
 TEST(ArcCache, ResizeKeepsInvariantsUnderRandomWorkload) {
-  ArcCache cache(32);
+  BlockArc cache(32);
   util::Rng rng(1234);
   for (int op = 0; op < 20000; ++op) {
     const std::uint64_t block = rng.Below(200);
-    if (!cache.Lookup(1, block)) cache.Insert(1, block);
+    if (!cache.Lookup({1, block})) cache.Insert({1, block}, 1);
     if (op % 1000 == 999) {
       // Oscillate the budget mid-workload.
       cache.Resize(op % 2000 == 999 ? 8 : 48);
     }
     ASSERT_LE(cache.resident_entries(), cache.capacity());
-    ASSERT_LE(cache.target_t1(), cache.capacity());
+    ASSERT_LE(cache.target_recency_weight(), cache.capacity());
   }
 }
 
@@ -220,4 +235,4 @@ TEST(ArcCache, BlockCacheResizeDropsPayloadsWithEntries) {
 }
 
 }  // namespace
-}  // namespace squirrel::sim
+}  // namespace squirrel::util

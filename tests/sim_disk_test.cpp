@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/disk_model.h"
 #include "sim/io_context.h"
 #include "sim/page_cache.h"
@@ -94,9 +96,19 @@ TEST(IoContext, AccumulatesCharges) {
   EXPECT_EQ(io.elapsed_ns(), 0.0);
   io.ChargeNs(1000.0);
   EXPECT_DOUBLE_EQ(io.elapsed_ns(), 1000.0);
-  io.ChargeDiskRead(0, 65536);
+  const IoContext::AsyncRead read{0, 65536};
+  io.ChargeAsyncReadBatch({&read, 1}, nullptr);
   EXPECT_GT(io.elapsed_ns(), 1000.0);
   EXPECT_DOUBLE_EQ(io.elapsed_seconds(), io.elapsed_ns() / 1e9);
+  // At the default depth 1 the guest waits out exactly the disk's cost.
+  EXPECT_EQ(io.elapsed_ns(), 1000.0 + DiskModel().Read(0, 65536));
+}
+
+TEST(IoContext, DepthZeroRejected) {
+  // Every read flows through the disk queue, which needs at least one slot.
+  IoContextConfig config;
+  config.disk_queue_depth = 0;
+  EXPECT_THROW(IoContext io(config), std::invalid_argument);
 }
 
 TEST(IoContext, DdtLookupGrowsWithTableSize) {

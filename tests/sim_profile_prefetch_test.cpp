@@ -269,11 +269,13 @@ TEST(ProfilePrefetch, PreHealMovesRepairsOffCriticalPath) {
   EXPECT_LT(prehealed.report.result.seconds, on_demand.report.result.seconds);
 }
 
-TEST(ProfilePrefetch, PumpIsNoOpWithoutAsyncEngine) {
-  // Synchronous mode has nothing to overlap: the prefetcher must not issue.
-  const Bytes content = CacheContent(16);
+TEST(ProfilePrefetch, PumpAtDepthOneLeavesGuestClockAlone) {
+  // The default depth-1 queue has one slot: Pump fills it with the first
+  // planned block, drops the next, and never advances the guest clock —
+  // only consuming the prefetch does.
+  const Bytes content = CacheContent(256);  // sixteen 64 KiB io blocks
   BufferSource source(content);
-  sim::IoContext io;  // depth 0 = synchronous
+  sim::IoContext io;  // depth 1, no readahead
   sim::LocalFileDevice device(&source, &io, 7, 0);
 
   vmi::BootProfile profile;
@@ -281,8 +283,14 @@ TEST(ProfilePrefetch, PumpIsNoOpWithoutAsyncEngine) {
   sim::ProfilePrefetcher prefetcher(&profile, &io);
   prefetcher.Bind("f", &device);
   prefetcher.Pump();
-  EXPECT_EQ(prefetcher.stats().issued, 0u);
+  EXPECT_EQ(prefetcher.stats().issued, 1u);
+  EXPECT_EQ(prefetcher.stats().dropped, 1u);
+  EXPECT_TRUE(io.InFlight(7, 0));
   EXPECT_EQ(io.elapsed_ns(), 0.0);
+
+  const double completion = io.JoinInFlight(7, 0);
+  EXPECT_GT(completion, 0.0);
+  EXPECT_EQ(io.elapsed_ns(), completion);
 }
 
 TEST(ProfilePrefetch, UnboundFilesAreSkipped) {

@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
 
   // Squirrel pays its network bill at registration time instead. Measure the
   // diff fan-out under transfer faults with the configured scatter-gather
-  // window (--window=N): window 1 is the serial legacy delivery, larger
-  // windows overlap per-receiver retry tails on the event loop.
+  // window (--window=N): retry tails overlap on the event loop, each
+  // receiver keeping at most N retransmission chunks on the sender link.
   {
     core::SquirrelConfig config;
     config.volume = zvol::VolumeConfig{.block_size = 64 * 1024,

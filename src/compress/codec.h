@@ -44,9 +44,13 @@ enum class CodecId : std::uint8_t {
 
 inline constexpr std::size_t kCodecCount = 13;
 
-/// Approximate CPU cost of a codec, in nanoseconds per input byte. Feeds the
+/// Assumed CPU cost of a codec, in nanoseconds per input byte. Feeds the
 /// boot-time simulator, which charges decompression on every block read from
-/// a compressed volume.
+/// a compressed volume. The values are hand-set assumptions, not
+/// measurements of this implementation: sqbench `register --trace 1`
+/// (seed 901) measured gzip6 decode at 5.41x the modelled cost
+/// (`compress.decode_model_drift`) and encode at 1.58x, so simulated boots
+/// under-charge decompression.
 struct CodecCost {
   double compress_ns_per_byte;
   double decompress_ns_per_byte;

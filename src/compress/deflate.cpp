@@ -257,8 +257,9 @@ util::Bytes DeflateCodec::Decompress(util::ByteSpan input,
 }
 
 CodecCost DeflateCodec::cost() const {
-  // Compression cost grows with search effort; decompression is level
-  // independent (same token stream structure).
+  // Hand-set assumptions, not measured (see CodecCost): compression cost
+  // grows with search effort; decompression is level independent (same
+  // token stream structure).
   return {8.0 + 4.0 * level_ * level_ / 3.0, 4.0};
 }
 

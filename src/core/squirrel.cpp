@@ -197,9 +197,9 @@ RegistrationReport SquirrelCluster::Register(const RegisterRequest& request) {
     eligible_ids.push_back(node->id() + 1);
   }
   // One stream scatters to every eligible node; per-node retry tails run
-  // concurrently (serially modelled at window 1, event-driven above it), so
-  // the registration's critical path extends by the fan out's makespan, not
-  // the sum of tails.
+  // concurrently on the event loop, sharing the sender's link, so the
+  // registration's critical path extends by the fan out's makespan, not the
+  // sum of tails.
   ScatterGatherTransfer transfer(&network_, faults_, config_.retry,
                                  config_.transfer);
   const ScatterGatherResult fanout = transfer.Run(
@@ -299,10 +299,10 @@ SyncReport SquirrelCluster::SyncNode(std::uint32_t compute_node, SimClock) {
   const zvol::SendStream parsed = zvol::SendStream::Deserialize(wire);
   ScatterGatherTransfer transfer(&network_, faults_, config_.retry,
                                  config_.transfer);
-  const ScatterGatherResult delivery = transfer.Run(
-      parsed, wire.size(), {compute_node + 1}, ++transfer_counter_,
-      report.transfers, /*initial_seconds=*/report.seconds);
-  report.seconds = delivery.outcomes.front().seconds;
+  const ScatterGatherResult delivery =
+      transfer.Run(parsed, wire.size(), {compute_node + 1},
+                   ++transfer_counter_, report.transfers);
+  report.seconds += delivery.outcomes.front().seconds;
   if (!delivery.outcomes.front().delivered) {
     // Every attempt faulted: the node stays stale (snapshots_advanced == 0)
     // and the next boot-time sync tries again.

@@ -54,11 +54,6 @@ class NetworkAccountant {
     return static_cast<std::uint32_t>(in_.size());
   }
 
-  /// The timing parameters, for callers that schedule their own chunked
-  /// transfers (the scatter-gather engine) but still account through
-  /// Transfer().
-  const NetworkConfig& config() const { return config_; }
-
  private:
   NetworkConfig config_;
   std::vector<std::uint64_t> in_;

@@ -1,11 +1,13 @@
-// Scatter-gather fan-out transfers: window-1 bit-identity with the legacy
-// serial retry loop, windowed overlap, and determinism.
+// Scatter-gather fan-out transfers: decision equality with an in-test
+// reference of the per-node retry loop, sender-link sharing at window 1,
+// overlap at wider windows, and determinism.
 
 #include "core/scatter_gather.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/squirrel.h"
@@ -165,6 +167,55 @@ TEST(ScatterGather, WindowOneBitIdenticalToLegacyLoop) {
   }
 }
 
+TEST(ScatterGather, WindowZeroRejected) {
+  sim::NetworkAccountant net(4);
+  EXPECT_THROW(ScatterGatherTransfer(&net, /*faults=*/nullptr, RetryPolicy{},
+                                     ScatterGatherConfig{.window = 0}),
+               std::invalid_argument);
+}
+
+TEST(ScatterGather, WindowOneSharesSenderLink) {
+  // A slow link makes resumes long enough to collide: at window 1 each
+  // receiver has one chunk in flight, but every chunk still queues on the
+  // sender's egress link, so the fan out takes longer than the slowest
+  // receiver would alone and never longer than all tails back to back.
+  const zvol::SendStream stream = TestStream(64);
+  const std::uint64_t wire_size = stream.WireSize();
+  std::vector<std::uint32_t> nodes;
+  for (std::uint32_t n = 1; n <= 12; ++n) nodes.push_back(n);
+  const RetryPolicy retry{};
+  const sim::NetworkConfig link{.bandwidth_bytes_per_ns = 0.0005};
+
+  util::FaultInjector legacy_faults(0xfab, FlakyProfile());
+  sim::NetworkAccountant legacy_net(13, link);
+  TransferStats legacy_stats;
+  double legacy_max = 0.0;
+  double legacy_sum = 0.0;
+  for (const std::uint32_t node : nodes) {
+    double seconds = 0.0;
+    LegacyDeliver(stream, wire_size, node, 1, retry, &legacy_faults,
+                  legacy_net, legacy_stats, &seconds);
+    legacy_max = std::max(legacy_max, seconds);
+    legacy_sum += seconds;
+  }
+  ASSERT_GT(legacy_stats.retries, 1u) << "profile produced too few retries";
+
+  util::FaultInjector faults(0xfab, FlakyProfile());
+  sim::NetworkAccountant net(13, link);
+  TransferStats stats;
+  ScatterGatherTransfer transfer(&net, &faults, retry,
+                                 ScatterGatherConfig{.window = 1});
+  const ScatterGatherResult result =
+      transfer.Run(stream, wire_size, nodes, 1, stats);
+
+  EXPECT_EQ(stats.attempts, legacy_stats.attempts);
+  EXPECT_EQ(stats.retries, legacy_stats.retries);
+  EXPECT_EQ(stats.abandoned, legacy_stats.abandoned);
+  EXPECT_EQ(stats.retransmitted_bytes, legacy_stats.retransmitted_bytes);
+  EXPECT_GT(result.makespan_seconds, legacy_max);
+  EXPECT_LE(result.makespan_seconds, legacy_sum);
+}
+
 TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   const zvol::SendStream stream = TestStream(16);
   const std::uint64_t wire_size = stream.WireSize();
@@ -187,7 +238,7 @@ TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   const ScatterGatherResult result =
       windowed.Run(stream, wire_size, nodes, 1, stats);
 
-  // Fault decisions are order-independent, so both models agree on what
+  // Fault decisions are order-independent, so both windows agree on what
   // happened — only on when.
   EXPECT_EQ(stats.attempts, serial_stats.attempts);
   EXPECT_EQ(stats.retries, serial_stats.retries);
@@ -203,8 +254,8 @@ TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   // the report says by how much.
   EXPECT_LT(result.makespan_seconds, result.sum_seconds);
   EXPECT_GT(stats.overlap_seconds, 0.0);
-  // Sender-link contention cannot beat the perfect-parallelism bound by
-  // more than scheduling slack, and never the serial sum.
+  // Sender-link contention never stretches the fan out past the sum of
+  // window-1 tails.
   EXPECT_LE(result.makespan_seconds, serial_result.sum_seconds);
 }
 
@@ -212,7 +263,8 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
   // Regression: overlap_seconds is derived as sum - makespan per batch; a
   // scheduling path that reports makespan within float slack of (or above)
   // the sum must clamp at zero rather than accumulate a negative overlap.
-  const zvol::SendStream stream = TestStream(6);
+  // Larger than one 256 KiB chunk, so resumes span several chunks.
+  const zvol::SendStream stream = TestStream(160);
   const std::uint64_t wire_size = stream.WireSize();
   for (const std::uint32_t window : {1u, 2u, 4u, 8u}) {
     for (const std::size_t fan_out : {std::size_t{1}, std::size_t{3}}) {
@@ -223,9 +275,9 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
       sim::NetworkAccountant net(10.0);
       util::FaultInjector faults(11, FlakyProfile());
       TransferStats stats;
-      ScatterGatherTransfer transfer(
-          &net, fan_out > 1 ? &faults : nullptr, RetryPolicy{},
-          ScatterGatherConfig{.window = window, .chunk_bytes = 8 * 1024});
+      ScatterGatherTransfer transfer(&net, fan_out > 1 ? &faults : nullptr,
+                                     RetryPolicy{},
+                                     ScatterGatherConfig{.window = window});
       const ScatterGatherResult result =
           transfer.Run(stream, wire_size, nodes, 1, stats);
       EXPECT_GE(result.makespan_seconds, 0.0) << "window " << window;
@@ -241,16 +293,16 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
 }
 
 TEST(ScatterGather, WindowedIsDeterministic) {
-  const zvol::SendStream stream = TestStream(8);
+  // Larger than one 256 KiB chunk, so resumes span several chunks.
+  const zvol::SendStream stream = TestStream(160);
   const std::uint64_t wire_size = stream.WireSize();
   const std::vector<std::uint32_t> nodes = {1, 2, 3, 4};
   auto run = [&] {
     util::FaultInjector faults(0xfab, FlakyProfile());
     sim::NetworkAccountant net(6);
     TransferStats stats;
-    ScatterGatherTransfer transfer(
-        &net, &faults, RetryPolicy{},
-        ScatterGatherConfig{.window = 3, .chunk_bytes = 8 * 1024});
+    ScatterGatherTransfer transfer(&net, &faults, RetryPolicy{},
+                                   ScatterGatherConfig{.window = 3});
     const ScatterGatherResult result =
         transfer.Run(stream, wire_size, nodes, 1, stats);
     return std::pair<double, double>(result.makespan_seconds,
@@ -298,8 +350,8 @@ TEST(ScatterGather, ClusterRegisterWithWindowedTransfer) {
 }
 
 TEST(ScatterGather, ClusterRetryStatsIdenticalAcrossWindows) {
-  // The same faulted registration through both delivery models: identical
-  // decisions (attempts/retries/abandoned), different timing model.
+  // The same faulted registration at two windows: identical decisions
+  // (attempts/retries/abandoned), different timing.
   auto run = [](std::uint32_t window) {
     SquirrelConfig config;
     config.volume = zvol::VolumeConfig{.block_size = 4096,

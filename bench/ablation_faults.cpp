@@ -105,8 +105,8 @@ CorruptionRow RunCorruptionSweep(const vmi::Catalog& catalog, double rate,
     util::FaultInjector faults(seed + row.rounds,
                                {.block_corrupt_rate = rate});
     row.corrupted += victim.InjectFaults(faults);
-    const zvol::Volume::RepairReport repair =
-        victim.ScrubRepair(cluster.storage_volume().block_store());
+    zvol::RepairSession session({{0, &cluster.storage_volume().block_store()}});
+    const zvol::Volume::RepairReport repair = victim.ScrubRepair(session);
     ++row.rounds;
     row.blocks_checked += repair.blocks_checked;
     row.errors_found += repair.errors_found;

@@ -28,7 +28,6 @@
 // the prefetcher covers non-sequential jumps readahead cannot), and the
 // pre-heal row reports (near) zero critical-path repair reads where the
 // on-demand row pays one per corrupt cluster.
-#include <algorithm>
 
 #include "bench/ingest_common.h"
 #include "cow/chain.h"
@@ -143,45 +142,25 @@ ModeResult RunMode(const Mode& mode, const std::vector<SampleVm>& vms,
     sim::IoContext io(io_config);
     cow::QcowOverlay overlay(vms[i].image->size(), cow::kDefaultClusterSize);
     sim::VolumeFileDevice cache(volume.get(), file, &io, 1000 + i);
-    if (mode.degraded) {
-      cache.SetRepairSource(&healthy->block_store(), nullptr, 0);
-    }
+    zvol::RepairSession repair(
+        {{0, healthy != nullptr ? &healthy->block_store() : nullptr}});
+    if (mode.degraded) cache.SetRepairSession(&repair, nullptr, 0);
     sim::LocalFileDevice base(vms[i].image.get(), &io, 1, 40ull << 30);
     cow::Chain chain(&overlay, &cache, &base, false);
 
     sim::ProfilePrefetcher prefetcher(&profiles[i], &io);
     sim::ProfilePrefetcher* prefetch = nullptr;
     if (mode.profile) {
-      std::vector<std::uint64_t> blocks =
+      const std::vector<std::uint64_t> blocks =
           profiles[i].BlocksForFile(file, /*misses_only=*/false);
       if (mode.pre_heal) {
         // Heal (and warm) the profile's blocks before the guest starts —
         // the repairs the on-demand row pays inside the boot happen here,
         // off the critical path.
-        std::sort(blocks.begin(), blocks.end());
-        const std::uint64_t count = volume->FileBlockCount(file);
-        const std::uint64_t file_size = volume->FileSize(file);
-        std::size_t a = 0;
-        while (a < blocks.size()) {
-          std::size_t b = a + 1;
-          while (b < blocks.size() && blocks[b] == blocks[b - 1] + 1) ++b;
-          if (blocks[a] < count) {
-            const std::uint64_t offset = blocks[a] * kBlockSize;
-            const std::uint64_t end_block =
-                std::min<std::uint64_t>(blocks[b - 1] + 1, count);
-            const std::uint64_t length =
-                std::min<std::uint64_t>(end_block * kBlockSize, file_size) -
-                offset;
-            std::uint64_t fetched = 0;
-            volume->ReadRangeRepair(file, offset, length,
-                                    healthy->block_store(), &fetched);
-            if (fetched > 0) {
-              ++result.preheal_fetches;
-              result.preheal_bytes += fetched;
-            }
-          }
-          a = b;
-        }
+        const sim::VolumeFileDevice::PreHealResult healed =
+            cache.PreHeal(blocks);
+        result.preheal_fetches += healed.fetches;
+        result.preheal_bytes += healed.bytes;
       } else {
         cache.WarmCacheFromBlocks(blocks);
       }

@@ -242,31 +242,55 @@ bool VolumeFileDevice::Present(std::uint64_t offset) const {
   return false;
 }
 
-void VolumeFileDevice::SetRepairSource(const store::BlockStore* peer,
-                                       NetworkAccountant* network,
-                                       std::uint32_t node_id) {
-  repair_peer_ = peer;
-  repair_network_ = network;
-  repair_node_id_ = node_id;
-  repair_session_.reset();
-}
-
-void VolumeFileDevice::SetRepairSources(std::vector<zvol::RepairPeer> peers,
+void VolumeFileDevice::SetRepairSession(zvol::RepairSession* session,
                                         NetworkAccountant* network,
-                                        std::uint32_t node_id,
-                                        util::FaultInjector* faults) {
-  repair_session_ =
-      std::make_unique<zvol::RepairSession>(std::move(peers), faults);
-  repair_peer_ = nullptr;
+                                        std::uint32_t node_id) {
+  repair_session_ = session;
   repair_network_ = network;
   repair_node_id_ = node_id;
 }
 
-void VolumeFileDevice::SetReconstructionSource(
-    zvol::BlockReconstructor* reconstructor) {
-  if (repair_session_ != nullptr) {
-    repair_session_->SetReconstructionSource(reconstructor);
+VolumeFileDevice::PreHealResult VolumeFileDevice::PreHeal(
+    std::span<const std::uint64_t> blocks) {
+  std::vector<std::uint64_t> sorted(blocks.begin(), blocks.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint32_t block_size = volume_->config().block_size;
+  const std::uint64_t count = volume_->FileBlockCount(file_);
+  const std::uint64_t file_size = volume_->FileSize(file_);
+  PreHealResult result;
+  std::size_t i = 0;
+  while (i < sorted.size()) {
+    std::size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1) ++j;
+    if (sorted[i] < count) {
+      const std::uint64_t offset = sorted[i] * block_size;
+      const std::uint64_t end_block =
+          std::min<std::uint64_t>(sorted[j - 1] + 1, count);
+      const std::uint64_t end =
+          std::min<std::uint64_t>(end_block * block_size, file_size);
+      std::uint64_t fetched = 0;
+      ReadHealing(offset, end - offset, &fetched);
+      if (fetched > 0) {
+        ++result.fetches;
+        result.bytes += fetched;
+        if (repair_network_ != nullptr) {
+          repair_network_->Transfer(/*from=*/0, repair_node_id_, fetched);
+        }
+      }
+    }
+    i = j;
   }
+  return result;
+}
+
+util::Bytes VolumeFileDevice::ReadHealing(std::uint64_t offset,
+                                          std::uint64_t length,
+                                          std::uint64_t* fetched) {
+  if (repair_session_ == nullptr) {
+    return volume_->ReadRangeAs(tenant_, file_, offset, length);
+  }
+  return volume_->ReadRangeRepair(tenant_, file_, offset, length,
+                                  *repair_session_, fetched);
 }
 
 void VolumeFileDevice::SetProfileRecorder(vmi::BootProfile* profile) {
@@ -403,38 +427,19 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
   }
 
-  util::Bytes data;
-  if (repair_session_ != nullptr || repair_peer_ != nullptr) {
-    // Degraded mode: a corrupt local block is healed on demand from the
-    // storage node (or, with a session, the first honest replica that has
-    // it); the re-fetched bytes are charged as network traffic (the cost
-    // curve BENCH_faults measures).
-    std::uint64_t fetched = 0;
-    if (repair_session_ != nullptr) {
-      data = volume_->ReadRangeRepair(file_, offset, out.size(),
-                                      *repair_session_, &fetched);
-      degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
-      degraded_.resourced_blocks = repair_session_->resourced_blocks();
-      degraded_.byzantine_rejected = repair_session_->byzantine_rejected();
-      degraded_.reconstructed_blocks = repair_session_->reconstructed_blocks();
-      degraded_.parity_reads = repair_session_->parity_reads();
-      degraded_.reconstruct_fallbacks =
-          repair_session_->reconstruct_fallbacks();
-    } else {
-      data = volume_->ReadRangeRepair(file_, offset, out.size(), *repair_peer_,
-                                      &fetched);
+  // Degraded mode: with a repair session armed, a corrupt local block heals
+  // on demand; the re-fetched bytes are charged as network traffic on the
+  // guest's clock (the cost curve BENCH_faults measures).
+  std::uint64_t fetched = 0;
+  const util::Bytes data = ReadHealing(offset, out.size(), &fetched);
+  if (fetched > 0) {
+    ++degraded_.repair_reads;
+    degraded_.repaired_bytes += fetched;
+    if (repair_network_ != nullptr) {
+      const double ns =
+          repair_network_->Transfer(/*from=*/0, repair_node_id_, fetched);
+      if (io_ != nullptr) io_->ChargeNs(ns);
     }
-    if (fetched > 0) {
-      ++degraded_.repair_reads;
-      degraded_.repaired_bytes += fetched;
-      if (repair_network_ != nullptr) {
-        const double ns =
-            repair_network_->Transfer(/*from=*/0, repair_node_id_, fetched);
-        if (io_ != nullptr) io_->ChargeNs(ns);
-      }
-    }
-  } else {
-    data = volume_->ReadRangeAs(tenant_, file_, offset, out.size());
   }
   std::memcpy(out.data(), data.data(), out.size());
 }

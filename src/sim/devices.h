@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -154,47 +153,38 @@ class VolumeFileDevice final : public cow::WritableDevice,
   void SetTenant(store::TenantId tenant) { tenant_ = tenant; }
   store::TenantId tenant() const { return tenant_; }
 
-  /// Degraded-read accounting: reads that hit a corrupt local block and the
-  /// bytes re-fetched from the repair peer(s) to heal them. The Byzantine
-  /// counters stay zero on the legacy single-peer path; the multi-peer
-  /// session path fills them from the RepairSession after every heal.
+  /// Degraded-read accounting: ReadAt calls that hit a corrupt local block
+  /// and the wire bytes the repair session fetched to heal them. The
+  /// session's own counters (strikes, re-sourcing, reconstruction) live on
+  /// the caller-owned zvol::RepairSession.
   struct DegradedReadStats {
     std::uint64_t repair_reads = 0;    // ReadAt calls that needed healing
-    std::uint64_t repaired_bytes = 0;  // logical bytes fetched from the peer
-    std::uint64_t peers_blacklisted = 0;   // peers struck out for lying
-    std::uint64_t resourced_blocks = 0;    // blocks healed from another peer
-    std::uint64_t byzantine_rejected = 0;  // wrong payloads caught by digest
-    /// Stripe reconstruction (sessions with a reconstruction source only):
-    /// blocks rebuilt from erasure-coded shards, parity shards consumed,
-    /// and failed rebuilds that fell back to a whole-block fetch.
-    std::uint64_t reconstructed_blocks = 0;
-    std::uint64_t parity_reads = 0;
-    std::uint64_t reconstruct_fallbacks = 0;
+    std::uint64_t repaired_bytes = 0;  // wire bytes fetched to heal them
   };
 
-  /// Arms degraded-mode boots: when the verified read path reports a corrupt
-  /// local block, re-fetch it on demand from `peer` (the storage node's
-  /// scVolume), charge the fetched bytes to `network` as a transfer from
-  /// node 0 to `node_id`, and retry the read. Without a repair source,
+  /// Arms degraded-mode reads: when the verified read path reports a corrupt
+  /// local block, heal it on demand through `session` (borrowed; it must
+  /// outlive the device's reads, nullptr disarms), charge the fetched bytes
+  /// to `network` (may be null) as a transfer from node 0 to `node_id` —
+  /// the serving peer is not known at this layer, so the heal is charged
+  /// over the storage hop — and retry the read. Without a session,
   /// corruption propagates as BlockCorruptionError.
-  void SetRepairSource(const store::BlockStore* peer,
-                       NetworkAccountant* network, std::uint32_t node_id);
+  void SetRepairSession(zvol::RepairSession* session,
+                        NetworkAccountant* network, std::uint32_t node_id);
 
-  /// Multi-peer variant: heal through a RepairSession over `peers` (tried in
-  /// order, per-peer strike counters, Byzantine blacklisting). Fetched bytes
-  /// are charged to `network` as a transfer from each serving peer's node id
-  /// is unknown at this layer, so the whole heal is charged from node 0 (the
-  /// worst-case storage hop) to `node_id`, matching the single-peer model.
-  /// `faults` drives the Byzantine fault model; may be null. Overrides any
-  /// single-peer source previously set.
-  void SetRepairSources(std::vector<zvol::RepairPeer> peers,
-                        NetworkAccountant* network, std::uint32_t node_id,
-                        util::FaultInjector* faults);
+  struct PreHealResult {
+    std::uint64_t fetches = 0;  // runs that fetched clean copies
+    std::uint64_t bytes = 0;    // wire bytes those runs fetched
+  };
 
-  /// Arms stripe reconstruction on the multi-peer session (see
-  /// zvol::RepairSession::SetReconstructionSource). Requires a prior
-  /// SetRepairSources call; borrowed, nullptr disarms.
-  void SetReconstructionSource(zvol::BlockReconstructor* reconstructor);
+  /// Pre-heal: reads `blocks` of this file (any order; out-of-range blocks
+  /// are skipped) as this device's tenant, in contiguous runs through the
+  /// armed repair session, before the guest starts — a degraded replica
+  /// fetches its clean copies off the boot's critical path, and the reads
+  /// warm the decompressed-block ARC either way. Fetched wire bytes are
+  /// charged to the repair network but not to the guest clock: the
+  /// modelled prefetch daemon overlaps VM scheduling.
+  PreHealResult PreHeal(std::span<const std::uint64_t> blocks);
 
   const DegradedReadStats& degraded_stats() const { return degraded_; }
 
@@ -203,16 +193,21 @@ class VolumeFileDevice final : public cow::WritableDevice,
   /// partial block; 0 at or past EOF.
   std::uint64_t BlockLength(std::uint64_t b) const;
 
+  /// Reads [offset, offset + length) as this device's tenant, healing
+  /// through the armed session (if any); the heal's wire bytes are added to
+  /// `*fetched`.
+  util::Bytes ReadHealing(std::uint64_t offset, std::uint64_t length,
+                          std::uint64_t* fetched);
+
   zvol::Volume* volume_;
   std::string file_;
   IoContext* io_;
   std::uint64_t device_id_;
   std::uint32_t presence_window_;
   vmi::BootProfile* profile_ = nullptr;  // borrowed; null = not recording
-  const store::BlockStore* repair_peer_ = nullptr;
+  zvol::RepairSession* repair_session_ = nullptr;  // borrowed; null = disarmed
   NetworkAccountant* repair_network_ = nullptr;
   std::uint32_t repair_node_id_ = 0;
-  std::unique_ptr<zvol::RepairSession> repair_session_;
   DegradedReadStats degraded_;
   store::TenantId tenant_ = store::kDefaultTenant;
 };

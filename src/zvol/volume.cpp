@@ -992,44 +992,6 @@ Volume::ScrubReport Volume::Scrub() const {
   return report;
 }
 
-Volume::RepairReport Volume::ScrubRepair(const store::BlockStore& peer) {
-  RepairReport report;
-  const std::vector<util::Digest> to_verify =
-      CollectScrubDigests(&report.dangling_refs);
-  report.blocks_checked = to_verify.size();
-  const std::vector<std::uint8_t> ok = store_.VerifyBatch(to_verify);
-  for (std::size_t i = 0; i < to_verify.size(); ++i) {
-    if (ok[i]) continue;
-    ++report.errors_found;
-    // Resilver: fetch the block from the healthy replica. The peer's own
-    // verified read path throws if its copy is corrupt too, and Repair
-    // re-hashes the fetched bytes before accepting them — a bad peer can
-    // never make things worse.
-    util::Bytes raw;
-    try {
-      raw = peer.Get(to_verify[i]);
-    } catch (const Error&) {
-      ++report.unrepairable;  // peer missing the block, or corrupt as well
-      continue;
-    }
-    try {
-      if (store_.Repair(to_verify[i], raw)) {
-        ++report.repaired;
-        report.repaired_bytes += raw.size();
-      } else {
-        ++report.unrepairable;
-      }
-    } catch (const store::NoSpaceError&) {
-      // A size-changing repair can outgrow a full pool. Skip-and-report:
-      // the block stays corrupt (readable only via peers), the scrub keeps
-      // going, and the caller sees the skip count instead of an abort.
-      ++report.no_space_skips;
-      ++report.unrepairable;
-    }
-  }
-  return report;
-}
-
 Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   RepairReport report;
   const std::vector<util::Digest> to_verify =
@@ -1048,6 +1010,9 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
         ++report.unrepairable;  // every live peer lied or lacks the block
       }
     } catch (const store::NoSpaceError&) {
+      // A size-changing repair can outgrow a full pool. Skip-and-report:
+      // the block stays corrupt (readable only via peers), the scrub keeps
+      // going, and the caller sees the skip count instead of an abort.
       ++report.no_space_skips;
       ++report.unrepairable;
     }
@@ -1061,45 +1026,21 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   return report;
 }
 
-util::Bytes Volume::ReadRangeRepair(const std::string& name,
+util::Bytes Volume::ReadRangeRepair(store::TenantId tenant,
+                                    const std::string& name,
                                     std::uint64_t offset, std::uint64_t length,
                                     RepairSession& session,
                                     std::uint64_t* fetched_bytes) {
   DigestSet repaired;
   while (true) {
     try {
-      return ReadRange(name, offset, length);
+      return ReadRangeAs(tenant, name, offset, length);
     } catch (const store::BlockCorruptionError& e) {
-      // Same loop as the single-peer overload, but sourcing through the
-      // session: lying peers strike out and the block re-sources from the
-      // next replica instead of staying degraded.
+      // One corrupt block surfaces per attempt; heal it on demand through
+      // the session and retry. A repaired block is re-verified content, so
+      // it cannot fail again — each round makes progress or rethrows.
       if (!repaired.insert(e.digest()).second) throw;
       if (!session.RepairBlock(store_, e.digest(), fetched_bytes)) throw e;
-    }
-  }
-}
-
-util::Bytes Volume::ReadRangeRepair(const std::string& name,
-                                    std::uint64_t offset, std::uint64_t length,
-                                    const store::BlockStore& peer,
-                                    std::uint64_t* fetched_bytes) {
-  DigestSet repaired;
-  while (true) {
-    try {
-      return ReadRange(name, offset, length);
-    } catch (const store::BlockCorruptionError& e) {
-      // One corrupt block surfaces per attempt; repair it on demand from
-      // the peer and retry. A repaired block is re-verified content, so it
-      // cannot fail again — each round makes progress or rethrows.
-      if (!repaired.insert(e.digest()).second) throw;
-      util::Bytes raw;
-      try {
-        raw = peer.Get(e.digest());
-      } catch (const Error&) {
-        throw e;  // peer cannot supply a clean copy: stay degraded
-      }
-      if (!store_.Repair(e.digest(), raw)) throw e;
-      if (fetched_bytes != nullptr) *fetched_bytes += raw.size();
     }
   }
 }

@@ -133,7 +133,10 @@ class BlockReconstructor {
       const util::Digest& digest) = 0;
 };
 
-/// Multi-peer repair with Byzantine-peer blacklisting. A session holds an
+/// The repair engine behind every heal (Volume::ScrubRepair,
+/// Volume::ReadRangeRepair, sim::VolumeFileDevice): multi-peer repair with
+/// Byzantine-peer blacklisting, owned by the caller. A storage-node-only
+/// heal is the one-peer session {{0, &sc_store}}. A session holds an
 /// ordered list of replicas and per-peer strike counters; RepairBlock tries
 /// peers in order, skipping blacklisted ones, and relies on
 /// BlockStore::Repair's re-hash as the one defence against wrong-but-
@@ -380,11 +383,12 @@ class Volume {
     std::uint64_t errors_found = 0;    // payloads that failed verification
     std::uint64_t repaired = 0;        // restored byte-identically from peer
     std::uint64_t unrepairable = 0;    // peer missing the block, or corrupt too
-    std::uint64_t repaired_bytes = 0;  // logical bytes re-fetched
+    std::uint64_t repaired_bytes = 0;  // wire bytes fetched for repaired blocks
     std::uint64_t dangling_refs = 0;
-    /// Multi-peer (RepairSession) runs only: peers blacklisted for serving
-    /// wrong bytes, blocks healed from a later replica after an earlier one
-    /// lied, and wrong payloads rejected by the digest check.
+    /// Session counters: peers blacklisted for serving wrong bytes, blocks
+    /// healed from a later replica after an earlier one lied, and wrong
+    /// payloads rejected by the digest check (all zero when every peer is
+    /// honest, e.g. a storage-node-only session).
     std::uint64_t peers_blacklisted = 0;
     std::uint64_t resourced_blocks = 0;
     std::uint64_t byzantine_rejected = 0;
@@ -402,36 +406,26 @@ class Volume {
   };
 
   /// Scrub + resilver: like Scrub, but every block that fails verification
-  /// is re-fetched from `peer` (a healthy replica — in Squirrel, the storage
-  /// node's scVolume) and rewritten through BlockStore::Repair, which
-  /// re-verifies the fetched bytes against the digest before accepting them.
-  /// After a successful run (unrepairable == 0) a subsequent Scrub reports
-  /// zero errors and reads return byte-identical content.
-  RepairReport ScrubRepair(const store::BlockStore& peer);
-
-  /// Multi-peer scrub + resilver through a RepairSession: failed blocks are
-  /// re-sourced across the session's replicas with Byzantine-peer
-  /// blacklisting, and a block whose replacement extent no longer fits the
-  /// pool capacity is skipped-and-reported (no_space_skips) instead of
-  /// aborting the scrub. Session counters (peers_blacklisted,
-  /// resourced_blocks, byzantine_rejected) are snapshotted into the report.
+  /// is re-fetched through `session` (in Squirrel: other compute replicas,
+  /// then the storage node's scVolume; a storage-node-only heal is the
+  /// one-peer session {{0, &sc_store}}) and rewritten through
+  /// BlockStore::Repair, which re-verifies the fetched bytes against the
+  /// digest before accepting them — a bad peer can never make things worse.
+  /// A block whose replacement extent no longer fits the pool capacity is
+  /// skipped-and-reported (no_space_skips) instead of aborting the scrub.
+  /// The session's counters are snapshotted into the report. After a
+  /// successful run (unrepairable == 0) a subsequent Scrub reports zero
+  /// errors and reads return byte-identical content.
   RepairReport ScrubRepair(RepairSession& session);
 
-  /// Degraded-mode read: ReadRange that, when the verified read path throws
-  /// BlockCorruptionError, repairs the corrupt block from `peer` on demand
-  /// and retries. Each repaired block's logical bytes are added to
-  /// `*fetched_bytes` (network charge for the caller). Rethrows when the
-  /// peer cannot supply a clean copy.
-  util::Bytes ReadRangeRepair(const std::string& name, std::uint64_t offset,
-                              std::uint64_t length,
-                              const store::BlockStore& peer,
-                              std::uint64_t* fetched_bytes = nullptr);
-
-  /// Multi-peer degraded-mode read: like the single-peer overload but each
-  /// corrupt block is healed through the session (blacklisting, re-source).
-  /// Rethrows when no session peer can supply a clean copy.
-  util::Bytes ReadRangeRepair(const std::string& name, std::uint64_t offset,
-                              std::uint64_t length, RepairSession& session,
+  /// Degraded-mode read: ReadRangeAs(tenant, …) that, when the verified read
+  /// path throws BlockCorruptionError, heals the corrupt block through
+  /// `session` on demand and retries. Wire bytes the heal fetched are added
+  /// to `*fetched_bytes` (network charge for the caller). Rethrows when no
+  /// session peer can supply a clean copy.
+  util::Bytes ReadRangeRepair(store::TenantId tenant, const std::string& name,
+                              std::uint64_t offset, std::uint64_t length,
+                              RepairSession& session,
                               std::uint64_t* fetched_bytes = nullptr);
 
   /// Applies the injector's stored-payload fault schedule to every block in

@@ -102,6 +102,42 @@ TEST(Squirrel, WarmBootUsesZeroNetwork) {
   EXPECT_GT(report.result.seconds, 0.0);
 }
 
+TEST(Squirrel, BootChargesRequestTenant) {
+  // Every boot arms a repair session; the repair-armed demand reads must
+  // still charge the ARC residency they create to BootRequest::tenant.
+  SquirrelConfig config = SmallConfig();
+  config.volume.read.cache_bytes = 1 << 20;
+  SquirrelCluster cluster(config, 2);
+  // Compressible content: 28 nonzero blocks, 4 trailing holes.
+  Bytes content(32 * 4096, 0);
+  util::Rng rng(5);
+  for (std::size_t i = 0; i < 28 * 4096; ++i) {
+    content[i] = static_cast<util::Byte>('a' + rng.Below(3));
+  }
+  cluster.Register({"img-1", BufferSource(content), SimClock::FromSeconds(1000)});
+  BufferSource base_image(content);
+  const std::vector<vmi::BootRead> trace = {{0, 32 * 4096}};
+
+  sim::IoContext io;
+  cluster.Boot(1,
+               {.image_id = "img-1",
+                .base_image = base_image,
+                .trace = trace,
+                .tenant = 7},
+               io);
+  std::uint64_t resident = 0;
+  std::uint64_t tenant_resident = 0;
+  for (const store::StripeCacheSample& s :
+       cluster.compute_node(1).volume().block_store().SampleCacheStripes()) {
+    resident += s.resident_bytes;
+    for (const auto& t : s.tenants) {
+      if (t.tenant == 7) tenant_resident += t.resident_bytes;
+    }
+  }
+  EXPECT_EQ(resident, 28u * 4096);
+  EXPECT_EQ(tenant_resident, resident);
+}
+
 TEST(Squirrel, BootOfUnsyncedImageThrows) {
   SquirrelCluster cluster(SmallConfig(), 1);
   BufferSource base(Bytes(4096, 1));

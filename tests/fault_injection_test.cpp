@@ -308,12 +308,15 @@ TEST(FaultRepair, ScrubRepairRestoresByteIdenticalState) {
   FaultInjector faults(8, FaultProfile{.block_corrupt_rate = 0.05});
   ASSERT_GT(volume.InjectFaults(faults), 0u);
 
-  const zvol::Volume::RepairReport report =
-      volume.ScrubRepair(peer->block_store());
+  zvol::RepairSession session({{0, &peer->block_store()}});
+  const zvol::Volume::RepairReport report = volume.ScrubRepair(session);
   EXPECT_GT(report.errors_found, 0u);
   EXPECT_EQ(report.repaired, report.errors_found);
   EXPECT_EQ(report.unrepairable, 0u);
   EXPECT_GT(report.repaired_bytes, 0u);
+  // An honest peer serves only verified bytes: no strike, no blacklist.
+  EXPECT_EQ(report.byzantine_rejected, 0u);
+  EXPECT_EQ(report.peers_blacklisted, 0u);
 
   // Digest-verified byte-identical restoration: a fresh scrub is clean and
   // the file reads back exactly.
@@ -335,11 +338,15 @@ TEST(FaultRepair, CorruptPeerBlocksAreUnrepairable) {
   ASSERT_GT(volume.InjectFaults(faults_local), 0u);
   ASSERT_GT(peer->InjectFaults(faults_peer), 0u);
 
-  const zvol::Volume::RepairReport report =
-      volume.ScrubRepair(peer->block_store());
+  zvol::RepairSession session({{0, &peer->block_store()}});
+  const zvol::Volume::RepairReport report = volume.ScrubRepair(session);
   EXPECT_GT(report.errors_found, 0u);
   EXPECT_EQ(report.repaired, 0u);
   EXPECT_EQ(report.unrepairable, report.errors_found);
+  // A peer whose own copy is corrupt is unavailable, not lying: its
+  // verified read throws before serving anything, so no strike.
+  EXPECT_EQ(report.byzantine_rejected, 0u);
+  EXPECT_EQ(report.peers_blacklisted, 0u);
 }
 
 TEST(FaultRepair, ReadRangeRepairHealsOnDemand) {
@@ -352,11 +359,14 @@ TEST(FaultRepair, ReadRangeRepairHealsOnDemand) {
   FaultInjector faults(13, FaultProfile{.block_corrupt_rate = 0.05});
   ASSERT_GT(volume.InjectFaults(faults), 0u);
 
+  zvol::RepairSession session({{0, &peer->block_store()}});
   std::uint64_t fetched = 0;
-  const Bytes got =
-      volume.ReadRangeRepair("f", 0, content.size(), peer->block_store(), &fetched);
+  const Bytes got = volume.ReadRangeRepair(store::kDefaultTenant, "f", 0,
+                                           content.size(), session, &fetched);
   EXPECT_EQ(got, content);
   EXPECT_GT(fetched, 0u);
+  EXPECT_EQ(session.byzantine_rejected(), 0u);
+  EXPECT_EQ(session.peers_blacklisted(), 0u);
   // The heal is persistent, not per-read: a scrub afterwards is clean.
   EXPECT_EQ(volume.Scrub().errors, 0u);
 }

@@ -136,6 +136,46 @@ TEST(VolumeFileDevice, ChargesDdtAndDecompression) {
   EXPECT_GT(second, 0.0);
 }
 
+TEST(VolumeFileDevice, RepairArmedReadsChargeDeviceTenant) {
+  // A repair-armed device must still read as its tenant: the ARC residency
+  // a (healthy or degraded) boot creates belongs to the VM behind it, not
+  // to the store's default tenant.
+  const zvol::VolumeConfig config{
+      .block_size = 4096,
+      .codec = compress::CodecId::kGzip6,
+      .read = {.cache_bytes = 1 << 20}};
+  Bytes text(16 * 4096);
+  util::Rng rng(8);
+  for (auto& b : text) b = static_cast<util::Byte>('a' + rng.Below(3));
+  zvol::Volume volume(config);
+  volume.WriteFile("f", BufferSource(text));
+  zvol::Volume peer(config);
+  peer.WriteFile("f", BufferSource(text));
+  ASSERT_TRUE(volume.CorruptBlockForTesting("f", 3));
+
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 6);
+  device.SetTenant(7);
+  zvol::RepairSession repair({{0, &peer.block_store()}});
+  device.SetRepairSession(&repair, nullptr, 1);
+  Bytes out(text.size());
+  device.ReadAt(0, out);
+  EXPECT_EQ(out, text);
+  EXPECT_EQ(device.degraded_stats().repair_reads, 1u);
+
+  std::uint64_t resident = 0;
+  std::uint64_t tenant_resident = 0;
+  for (const store::StripeCacheSample& s :
+       volume.block_store().SampleCacheStripes()) {
+    resident += s.resident_bytes;
+    for (const auto& t : s.tenants) {
+      if (t.tenant == 7) tenant_resident += t.resident_bytes;
+    }
+  }
+  EXPECT_GT(resident, 0u);
+  EXPECT_EQ(tenant_resident, resident);
+}
+
 TEST(VolumeFileDevice, WriteGoesThroughVolume) {
   zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kNull});
   volume.CreateFile("f", 8 * 4096);

@@ -440,22 +440,30 @@ TEST(DiskFull, ScrubRepairSkipsAndReports) {
   Volume donor(TinyPoolConfig(0));
   donor.WriteFile("f", BufferSource(content));
 
-  const auto report = volume.ScrubRepair(donor.block_store());
+  // A storage-node-only heal: the one-peer session {{0, donor}}.
+  RepairSession session({{0, &donor.block_store()}});
+  const auto report = volume.ScrubRepair(session);
   EXPECT_EQ(report.errors_found, 1u);
   EXPECT_EQ(report.repaired, 0u);
   EXPECT_EQ(report.no_space_skips, 1u);
   EXPECT_EQ(report.unrepairable, 1u);
+  EXPECT_EQ(report.byzantine_rejected, 0u);  // the donor served no lie
+  EXPECT_EQ(report.peers_blacklisted, 0u);
   EXPECT_EQ(volume.block_store().space_map_stats().allocated_bytes,
             4 * kBlock);
   test::ExpectVolumeInvariants(volume, "after skipped repair");
 
-  // The session overload takes the same skip-and-report path.
+  // With a fault injector armed the rerun takes the same skip-and-report
+  // path: a refused allocation is not Byzantine evidence.
   util::FaultInjector faults(7, util::FaultProfile{});
-  RepairSession session({{0, &donor.block_store()}}, &faults);
-  const auto session_report = volume.ScrubRepair(session);
-  EXPECT_EQ(session_report.no_space_skips, 1u);
-  EXPECT_EQ(session_report.unrepairable, 1u);
-  test::ExpectVolumeInvariants(volume, "after skipped session repair");
+  RepairSession armed({{0, &donor.block_store()}}, &faults);
+  const auto armed_report = volume.ScrubRepair(armed);
+  EXPECT_EQ(armed_report.no_space_skips, 1u);
+  EXPECT_EQ(armed_report.unrepairable, 1u);
+  EXPECT_EQ(armed_report.byzantine_rejected, 0u);
+  EXPECT_EQ(volume.block_store().space_map_stats().allocated_bytes,
+            4 * kBlock);
+  test::ExpectVolumeInvariants(volume, "after skipped armed repair");
 }
 
 TEST(DiskFull, CrashSweepUnderCapacityHoldsInvariants) {
@@ -537,7 +545,8 @@ TEST(Byzantine, DegradedReadHealsThroughSession) {
                         &faults);
   std::uint64_t fetched = 0;
   const Bytes read =
-      local.ReadRangeRepair("f", 0, content.size(), session, &fetched);
+      local.ReadRangeRepair(store::kDefaultTenant, "f", 0, content.size(),
+                            session, &fetched);
   EXPECT_EQ(read, content);
   // The lie's bytes crossed the wire too, then the honest copy.
   EXPECT_GE(fetched, 2u * kBlock);
@@ -565,7 +574,8 @@ TEST(Byzantine, AllPeersLyingFailsClosed) {
       {{1, &liar_a.block_store()}, {2, &liar_b.block_store()}}, &faults);
   // No honest peer: the read must fail closed (typed corruption error, no
   // wrong bytes accepted), with both lies rejected by the digest check.
-  EXPECT_THROW(local.ReadRangeRepair("f", 0, content.size(), session),
+  EXPECT_THROW(local.ReadRangeRepair(store::kDefaultTenant, "f", 0,
+                                     content.size(), session),
                store::BlockCorruptionError);
   EXPECT_EQ(session.byzantine_rejected(), 2u);
   EXPECT_EQ(faults.stats().byzantine_detected, 2u);
